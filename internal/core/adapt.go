@@ -342,7 +342,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		if r == nil {
 			continue
 		}
-		tr := r.Snapshot(st.name, st.src.NumVectors())
+		tr := r.Snapshot(st.name, st.numVectors)
 		rep.RecordedQueries = len(tr.Queries)
 		rep.RecordedLookups = tr.Lookups()
 		if len(tr.Queries) < opts.MinQueries {
@@ -394,7 +394,7 @@ func (s *Store) AdaptNow() (*AdaptEpochReport, error) {
 		demands = append(demands, alloc.TableDemand{
 			Name:       st.name,
 			HRC:        analyses[i].hrc,
-			MaxVectors: st.src.NumVectors(),
+			MaxVectors: st.numVectors,
 			MinVectors: st.blockVectors,
 		})
 		demandIdx = append(demandIdx, i)
@@ -530,7 +530,13 @@ func (s *Store) maybeRelayout(st *storeTable, tr *trace.Trace, opts AdaptOptions
 	var candidate *layout.Layout
 	switch opts.RelayoutStrategy {
 	case RelayoutKMeans:
-		order, err := kmeans.OrderTable(st.src, st.blockVectors, kmeans.TwoStageOptions{Seed: s.seed + int64(st.index)})
+		// k-means wants the whole table in memory: cluster a temporary copy
+		// read from the block image and drop it once the order is known.
+		t, err := s.copyTable(st)
+		if err != nil {
+			return false, 0, 0, err
+		}
+		order, err := kmeans.OrderTable(t, st.blockVectors, kmeans.TwoStageOptions{Seed: s.seed + int64(st.index)})
 		if err != nil {
 			return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)
 		}

@@ -54,6 +54,9 @@ type CacheEngineStats struct {
 	ArenaUtilization float64
 	// Slabs is the allocated slab count (0 for the LRU engine).
 	Slabs int
+	// ReclaimBytes is the backing-array footprint of the arena engine's
+	// free list and limbo queue (0 for the LRU engine).
+	ReclaimBytes int64
 }
 
 // tableCache is the serving path's view of a per-table DRAM cache. Both
@@ -273,5 +276,6 @@ func (e *arenaEngine) EngineStats() CacheEngineStats {
 		ArenaBytes:       st.ArenaBytes,
 		ArenaUtilization: st.Utilization,
 		Slabs:            st.Slabs,
+		ReclaimBytes:     st.ReclaimBytes,
 	}
 }

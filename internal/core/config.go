@@ -40,8 +40,9 @@ const (
 // Config configures a Store.
 type Config struct {
 	// Tables are the embedding tables to store. Their contents are copied
-	// onto the NVM device by Open. Must be nil when reopening an already
-	// initialized DataDir: the tables are restored from disk.
+	// onto the NVM device by Open, which keeps no reference to them. Must be
+	// nil when reopening an already initialized DataDir: the vectors are
+	// served from disk.
 	Tables []*table.Table
 	// Backend selects the block store backing the NVM device when Device is
 	// nil: BackendMem (default) or BackendFile.
@@ -142,35 +143,35 @@ func DefaultCacheShards() int {
 }
 
 func (c *Config) validate() error {
-	if len(c.Tables) == 0 {
-		return fmt.Errorf("core: no tables configured")
-	}
-	seen := make(map[string]bool, len(c.Tables))
 	for i, t := range c.Tables {
 		if t == nil {
 			return fmt.Errorf("core: table %d is nil", i)
 		}
-		if t.NumVectors() == 0 {
-			return fmt.Errorf("core: table %q is empty", t.Name)
-		}
-		if t.VectorBytes() > nvm.BlockSize {
-			return fmt.Errorf("core: table %q vector size %d exceeds NVM block size %d",
-				t.Name, t.VectorBytes(), nvm.BlockSize)
-		}
-		if seen[t.Name] {
-			return fmt.Errorf("core: duplicate table name %q", t.Name)
-		}
-		seen[t.Name] = true
 	}
-	return nil
+	return validateGeoms(geomsOf(c.Tables))
 }
 
-func (c *Config) totalVectors() int {
-	n := 0
-	for _, t := range c.Tables {
-		n += t.NumVectors()
+// validateGeoms checks table geometries, whether they come from the caller's
+// tables or from a reopened data dir's manifest.
+func validateGeoms(geoms []tableGeom) error {
+	if len(geoms) == 0 {
+		return fmt.Errorf("core: no tables configured")
 	}
-	return n
+	seen := make(map[string]bool, len(geoms))
+	for _, g := range geoms {
+		if g.numVectors == 0 {
+			return fmt.Errorf("core: table %q is empty", g.name)
+		}
+		if g.vectorBytes() > nvm.BlockSize {
+			return fmt.Errorf("core: table %q vector size %d exceeds NVM block size %d",
+				g.name, g.vectorBytes(), nvm.BlockSize)
+		}
+		if seen[g.name] {
+			return fmt.Errorf("core: duplicate table name %q", g.name)
+		}
+		seen[g.name] = true
+	}
+	return nil
 }
 
 // TrainOptions configures Store.Train.

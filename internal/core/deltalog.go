@@ -670,8 +670,8 @@ func (o *deltaOverlay) deleteIfSeq(id uint32, seq uint64) {
 }
 
 // clear empties the overlay. Callers guarantee the block image already holds
-// every overlaid value (whole-table rewrites render from the authoritative
-// source tables, which updates always write).
+// every overlaid value (whole-table rewrites patch the overlay into the
+// image they render, under the update lock that keeps it from moving).
 func (o *deltaOverlay) clear() {
 	o.mu.Lock()
 	clear(o.m)

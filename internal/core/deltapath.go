@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"bandana/internal/iosched"
-	"bandana/internal/table"
 )
 
 // This file is the delta update path and its two consumers: the background
@@ -24,6 +23,9 @@ import (
 // work, and the block image is repaired later by compaction. Returns the
 // snapshot seq this update committed at.
 func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (uint64, error) {
+	if err := st.checkID(id); err != nil {
+		return 0, err
+	}
 	if s.deltaLog == nil {
 		if err := st.updateRaw(s.device, id, raw); err != nil {
 			return 0, err
@@ -35,9 +37,6 @@ func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (
 
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
-	if err := st.src.SetRaw(id, raw); err != nil {
-		return 0, fmt.Errorf("core: table %q: %w", st.name, err)
-	}
 	// The overlay and the log retain the bytes indefinitely; a slice the
 	// caller may reuse must not be captured.
 	cp := raw
@@ -47,7 +46,8 @@ func (s *Store) applyUpdate(st *storeTable, id uint32, raw []byte, owned bool) (
 	seq, needCompact, err := s.deltaLog.append(&s.snapSeq, uint32(st.index), id, cp)
 	if err != nil {
 		// The on-disk mirror rejected the append (failing/full disk). The
-		// update still commits — src holds it and the overlay serves it —
+		// update still commits — the overlay holds and serves it until a
+		// compaction or whole-table rewrite puts it into the block image —
 		// but its durability degrades to the next successful compaction,
 		// and the log window resets so followers full-sync instead of
 		// tailing across the hole.
@@ -138,13 +138,13 @@ func (s *Store) compactTable(st *storeTable) (int, error) {
 	if st.overlay == nil {
 		return 0, nil
 	}
-	// Lock order (updateMu -> rewriteMu) matches rewriteTable. The snapshot
-	// happens under updateMu so it includes every update the caller's
-	// `through` seq observed; rewriteMu stays held shared across the writes
-	// so no whole-table rewrite can interleave — a rewrite renders the image
-	// from src (which already includes these values) and clears the overlay,
-	// and patching its fresh image with this snapshot afterwards would
-	// resurrect older bytes.
+	// Lock order (compactMu -> updateMu -> rewriteMu) matches rewriteTable.
+	// The snapshot happens under updateMu so it includes every update the
+	// caller's `through` seq observed. No whole-table rewrite or migration
+	// can interleave with the writes below: those hold compactMu (held by
+	// our caller) across their read-render-write, because one that read a
+	// block before our write of it and the overlay after our deletes would
+	// miss these values entirely.
 	st.updateMu.Lock()
 	st.rewriteMu.RLock()
 	snap := st.overlay.snapshot()
@@ -243,9 +243,9 @@ func advanceSeq(seq *atomic.Uint64, to uint64) {
 }
 
 // ApplyReplicatedUpdates applies update records streamed from a primary to a
-// read-only replica store, in order: each record's bytes go to the source
-// table and the DRAM overlay (or, without an update log, read-modify-write
-// through to NVM), the cached copy is invalidated, and the store's snapshot
+// read-only replica store, in order: each record's bytes go to the DRAM
+// overlay and the update log (or, without an update log, patch through to
+// NVM), the cached copy is invalidated, and the store's snapshot
 // seq advances to the record's — published only after the record is applied
 // (and appended to this store's own log, when it has one), so a downstream
 // follower that observes the seq can always fetch through it. Records'
@@ -267,8 +267,8 @@ func (s *Store) ApplyReplicatedUpdates(recs []UpdateRecord) error {
 		if len(rec.Raw) != st.vecBytes {
 			return fmt.Errorf("core: table %q: replicated update carries %d bytes, want %d", st.name, len(rec.Raw), st.vecBytes)
 		}
-		if int(rec.ID) >= st.src.NumVectors() {
-			return fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, rec.ID)
+		if err := st.checkID(rec.ID); err != nil {
+			return err
 		}
 	}
 	for _, rec := range recs {
@@ -283,14 +283,11 @@ func (s *Store) ApplyReplicatedUpdates(recs []UpdateRecord) error {
 func (s *Store) applyReplicatedOne(st *storeTable, rec UpdateRecord) error {
 	if s.deltaLog == nil || st.overlay == nil {
 		// No log on this store: write through (updateRaw takes updateMu and
-		// maintains src + NVM + cache itself).
+		// maintains NVM + cache itself).
 		return st.updateRaw(s.device, rec.ID, rec.Raw)
 	}
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
-	if err := st.src.SetRaw(rec.ID, rec.Raw); err != nil {
-		return fmt.Errorf("core: table %q: %w", st.name, err)
-	}
 	// Re-log the record with the primary's seq: this replica's own log then
 	// serves the same seq->record contract downstream (chained replication),
 	// and a crash replays the tail exactly like on a primary.

@@ -8,10 +8,10 @@
 // The manifest is written last (via temp file + rename) when a directory is
 // initialized, so a half-written data dir is simply re-initialized on the
 // next Open. Reopening an initialized directory replays the block file's
-// journal, rebuilds the in-memory tables from the block image using the
-// persisted layout, and installs the trained state without rewriting a
-// single block — a restarted server serves identical vectors without
-// retraining.
+// journal, patches any update-log tail into the blocks it touches, and
+// installs the persisted layouts and trained state without rewriting the
+// tables — a restarted server serves identical vectors without retraining,
+// and without ever holding a copy of the tables in memory.
 package core
 
 import (
@@ -26,7 +26,6 @@ import (
 
 	"bandana/internal/layout"
 	"bandana/internal/nvm"
-	"bandana/internal/table"
 )
 
 const (
@@ -96,19 +95,20 @@ func initDir(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: create data dir: %w", err)
 	}
-	spans, totalBlocks := computeSpans(cfg.Tables)
+	geoms := geomsOf(cfg.Tables)
+	spans, totalBlocks := computeSpans(geoms)
 	fs, err := nvm.CreateFileStore(filepath.Join(cfg.DataDir, BlocksFileName), totalBlocks,
 		nvm.FileStoreOptions{Sync: cfg.Sync, Direct: cfg.Direct})
 	if err != nil {
 		return nil, err
 	}
 	device := nvm.NewDevice(nvm.DeviceConfig{Store: fs, Seed: cfg.Seed})
-	s, err := buildStore(cfg, device, true, spans)
+	s, err := buildStore(cfg, geoms, device, true, spans)
 	if err != nil {
 		device.Close()
 		return nil, err
 	}
-	err = s.writeAllTables()
+	err = s.writeTables(cfg.Tables)
 	if err == nil {
 		err = s.Persist() // baseline state: identity layout, no prefetching
 	}
@@ -152,9 +152,9 @@ func reopenDir(cfg Config) (*Store, error) {
 
 	// A committed-but-unfinished background migration (the previous process
 	// died between the migration record commit and its cleanup) is redone
-	// now, before the tables are rebuilt: the staged image is bulk-copied
-	// into the table's block range, and the recorded placement overrides
-	// whatever the state file says for that table. Unlike the rewrite
+	// now, before the update log is replayed over the blocks: the staged
+	// image is bulk-copied into the table's block range, and the recorded
+	// placement overrides whatever the state file says for that table. Unlike the rewrite
 	// marker, this never refuses the reopen — the staged image makes the
 	// redo exact (see migration.go).
 	mig, err := readMigrationRecord(cfg.DataDir)
@@ -204,14 +204,12 @@ func reopenDir(cfg Config) (*Store, error) {
 		return nil, err
 	}
 
-	// Rebuild each table's vectors from the block image, through the
-	// persisted layout (block slot -> vector ID).
-	tables := make([]*table.Table, len(entries))
+	// Each table's placement: the persisted layout (block slot -> vector ID),
+	// identity for a table that was never trained.
+	geoms := make([]tableGeom, len(entries))
 	layouts := make([]*layout.Layout, len(entries))
-	buf := make([]byte, nvm.BlockSize)
-	var members []uint32
 	for i, e := range entries {
-		tbl := table.New(e.name, e.numVectors, e.dim)
+		geoms[i] = tableGeom{name: e.name, dim: e.dim, numVectors: e.numVectors}
 		l := layout.Identity(e.numVectors, e.blockVectors)
 		if ord, ok := migOrder[e.name]; ok {
 			// The redone migration's placement wins over the (possibly
@@ -228,34 +226,30 @@ func reopenDir(cfg Config) (*Store, error) {
 				return nil, fmt.Errorf("core: table %q: %w", e.name, err)
 			}
 		}
-		vb := tbl.VectorBytes()
-		for b := 0; b < e.numBlocks; b++ {
-			if err := fs.ReadBlock(e.blockBase+b, buf); err != nil {
-				return nil, fmt.Errorf("core: table %q block %d: %w", e.name, b, err)
-			}
-			members = l.BlockMembers(b, members[:0])
-			for slot, id := range members {
-				if err := tbl.SetRaw(id, buf[slot*vb:(slot+1)*vb]); err != nil {
-					return nil, fmt.Errorf("core: table %q block %d: %w", e.name, b, err)
-				}
-			}
-		}
-		tables[i] = tbl
 		layouts[i] = l
 	}
-
-	// Replay the update log's tail over the rebuilt tables and the block
-	// image: updates past the compacted-through watermark may exist only in
-	// the log (the delta path never wrote their blocks). Idempotent — a crash
-	// mid-replay just replays again next open, and records at or below the
-	// watermark are never applied (their blocks are already durable, possibly
-	// with newer compacted values). The log file is consumed here and
-	// recreated fresh by buildStore when the update log is (still) enabled.
-	bases := make([]int, len(entries))
-	for i, e := range entries {
-		bases[i] = e.blockBase
+	if err := validateGeoms(geoms); err != nil {
+		return nil, err
 	}
-	replayed, logSeq, err := replayUpdateLog(cfg.DataDir, fs, tables, layouts, bases)
+	spans, derivedTotal := computeSpans(geoms)
+	if derivedTotal != totalBlocks {
+		return nil, fmt.Errorf("core: manifest geometry is internally inconsistent (%d vs %d blocks)",
+			derivedTotal, totalBlocks)
+	}
+	for i, e := range entries {
+		if spans[i].base != e.blockBase || spans[i].blocks != e.numBlocks || spans[i].blockVectors != e.blockVectors {
+			return nil, fmt.Errorf("core: table %q: manifest span does not match derived layout", e.name)
+		}
+	}
+
+	// Replay the update log's tail into the block image: updates past the
+	// compacted-through watermark may exist only in the log (the delta path
+	// never wrote their blocks). Idempotent — a crash mid-replay just
+	// replays again next open, and records at or below the watermark are
+	// never applied (their blocks are already durable, possibly with newer
+	// compacted values). The log file is consumed here and recreated fresh
+	// by buildStore when the update log is (still) enabled.
+	replayed, logSeq, err := replayUpdateLog(cfg.DataDir, fs, geoms, layouts, spans)
 	if err != nil {
 		return nil, err
 	}
@@ -280,23 +274,8 @@ func reopenDir(cfg Config) (*Store, error) {
 	}
 	cfg.InitialSnapshotSeq = base
 
-	cfg.Tables = tables
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	spans, derivedTotal := computeSpans(tables)
-	if derivedTotal != totalBlocks {
-		return nil, fmt.Errorf("core: manifest geometry is internally inconsistent (%d vs %d blocks)",
-			derivedTotal, totalBlocks)
-	}
-	for i, e := range entries {
-		if spans[i].base != e.blockBase || spans[i].blocks != e.numBlocks || spans[i].blockVectors != e.blockVectors {
-			return nil, fmt.Errorf("core: table %q: manifest span does not match derived layout", e.name)
-		}
-	}
-
 	device := nvm.NewDevice(nvm.DeviceConfig{Store: fs, Seed: cfg.Seed})
-	s, err := buildStore(cfg, device, true, spans)
+	s, err := buildStore(cfg, geoms, device, true, spans)
 	if err != nil {
 		return nil, err
 	}
@@ -342,17 +321,17 @@ func reopenDir(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// replayUpdateLog folds a leftover update log into the freshly rebuilt tables
-// and the on-disk block image, then consumes the file. Records at or below
-// the log's compacted-through watermark are skipped — their effects are
-// already durable in the image, possibly overwritten by newer compacted
-// values, so re-applying them could regress vectors. Survivor records are
-// applied in seq order (later updates of the same vector win) and their
-// blocks are rewritten journaled and flushed BEFORE the log is removed, so a
+// replayUpdateLog folds a leftover update log into the on-disk block image,
+// then consumes the file. Records at or below the log's compacted-through
+// watermark are skipped — their effects are already durable in the image,
+// possibly overwritten by newer compacted values, so re-applying them could
+// regress vectors. Survivor records are patched in seq order (later updates
+// of the same vector win) into their blocks, each dirty block read, patched
+// and rewritten journaled once, and flushed BEFORE the log is removed, so a
 // crash at any point just replays again. Returns how many records were
 // applied and the highest seq the log covered (watermark included) — the
 // reopened store's snapshot seq must not fall below it.
-func replayUpdateLog(dir string, fs *nvm.FileStore, tables []*table.Table, layouts []*layout.Layout, bases []int) (int, uint64, error) {
+func replayUpdateLog(dir string, fs *nvm.FileStore, geoms []tableGeom, layouts []*layout.Layout, spans []tableSpan) (int, uint64, error) {
 	path := filepath.Join(dir, UpdateLogFileName)
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -371,50 +350,45 @@ func replayUpdateLog(dir string, fs *nvm.FileStore, tables []*table.Table, layou
 			maxSeq = rec.Seq
 		}
 	}
+	// Group the survivors by block, keeping log order within each block.
 	type dirtyBlock struct{ table, block int }
-	dirty := make(map[dirtyBlock]struct{})
-	applied := 0
+	patches := make(map[dirtyBlock][]UpdateRecord)
 	for _, rec := range recs {
 		if rec.Seq <= through {
 			continue
 		}
-		if int(rec.Table) >= len(tables) {
-			return 0, 0, fmt.Errorf("core: update log references table %d, manifest has %d", rec.Table, len(tables))
+		if int(rec.Table) >= len(geoms) {
+			return 0, 0, fmt.Errorf("core: update log references table %d, manifest has %d", rec.Table, len(geoms))
 		}
-		tbl := tables[rec.Table]
-		if len(rec.Raw) != tbl.VectorBytes() {
+		g := geoms[rec.Table]
+		if len(rec.Raw) != g.vectorBytes() {
 			return 0, 0, fmt.Errorf("core: update log: table %q record carries %d bytes, want %d",
-				tbl.Name, len(rec.Raw), tbl.VectorBytes())
+				g.name, len(rec.Raw), g.vectorBytes())
 		}
-		if int(rec.ID) >= tbl.NumVectors() {
+		if int(rec.ID) >= g.numVectors {
 			return 0, 0, fmt.Errorf("core: update log: table %q record targets vector %d of %d",
-				tbl.Name, rec.ID, tbl.NumVectors())
+				g.name, rec.ID, g.numVectors)
 		}
-		if err := tbl.SetRaw(rec.ID, rec.Raw); err != nil {
-			return 0, 0, fmt.Errorf("core: update log: table %q: %w", tbl.Name, err)
-		}
-		dirty[dirtyBlock{int(rec.Table), layouts[rec.Table].BlockOf(rec.ID)}] = struct{}{}
-		applied++
+		db := dirtyBlock{int(rec.Table), layouts[rec.Table].BlockOf(rec.ID)}
+		patches[db] = append(patches[db], rec)
 	}
-	if applied > 0 {
-		buf := make([]byte, nvm.BlockSize)
-		var members []uint32
-		for db := range dirty {
-			tbl, l := tables[db.table], layouts[db.table]
-			vb := tbl.VectorBytes()
-			for i := range buf {
-				buf[i] = 0
+	applied := 0
+	if len(patches) > 0 {
+		bufp := nvm.GetBlockBuf()
+		defer nvm.PutBlockBuf(bufp)
+		buf := *bufp
+		for db, recs := range patches {
+			g, l := geoms[db.table], layouts[db.table]
+			abs := spans[db.table].base + db.block
+			if err := fs.ReadBlock(abs, buf); err != nil {
+				return 0, 0, fmt.Errorf("core: update log: table %q block %d: %w", g.name, db.block, err)
 			}
-			members = l.BlockMembers(db.block, members[:0])
-			for slot, id := range members {
-				vraw, err := tbl.Raw(id)
-				if err != nil {
-					return 0, 0, fmt.Errorf("core: update log: table %q: %w", tbl.Name, err)
-				}
-				copy(buf[slot*vb:], vraw)
+			for _, rec := range recs {
+				copy(buf[l.SlotOf(rec.ID)*g.vectorBytes():], rec.Raw)
+				applied++
 			}
-			if err := fs.WriteBlock(bases[db.table]+db.block, buf); err != nil {
-				return 0, 0, fmt.Errorf("core: update log: table %q block %d: %w", tbl.Name, db.block, err)
+			if err := fs.WriteBlock(abs, buf); err != nil {
+				return 0, 0, fmt.Errorf("core: update log: table %q block %d: %w", g.name, db.block, err)
 			}
 		}
 		if err := fs.Flush(); err != nil {
@@ -559,7 +533,7 @@ func manifestBytes(s *Store, totalBlocks int) []byte {
 		writeUvarint(uint64(len(st.name)))
 		payload.WriteString(st.name)
 		writeUvarint(uint64(st.dim))
-		writeUvarint(uint64(st.src.NumVectors()))
+		writeUvarint(uint64(st.numVectors))
 		writeUvarint(uint64(st.blockVectors))
 		writeUvarint(uint64(st.numBlocks))
 		writeUvarint(uint64(st.blockBase))

@@ -307,9 +307,9 @@ func (s *Store) LoadState(r io.Reader) error {
 			return fmt.Errorf("core: state references unknown table %q", sv.name)
 		}
 		st := s.tables[idx]
-		if len(sv.order) != st.src.NumVectors() {
+		if len(sv.order) != st.numVectors {
 			return fmt.Errorf("core: table %q: state has %d vectors, table has %d",
-				sv.name, len(sv.order), st.src.NumVectors())
+				sv.name, len(sv.order), st.numVectors)
 		}
 		l, err := layout.FromOrder(sv.order, st.blockVectors)
 		if err != nil {
@@ -323,6 +323,9 @@ func (s *Store) LoadState(r io.Reader) error {
 	// matching state file are both durable.
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
+	if err := s.checkImage(); err != nil { // before the marker, as in Train
+		return err
+	}
 	if err := s.markDirMutation(); err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"bandana/internal/fp16"
 	"bandana/internal/iosched"
 	"bandana/internal/nvm"
-	"bandana/internal/table"
 )
 
 // This file is the serving engine: the lock-free-read lookup paths, the
@@ -417,8 +416,8 @@ func (st *storeTable) observeDecode(start time.Time, tr *StageTrace) {
 // accumulates the per-stage latency breakdown (and forces the sampled
 // probe-stage timer on).
 func (st *storeTable) lookup(device *nvm.Device, id uint32, tr *StageTrace) ([]float32, error) {
-	if int(id) >= st.src.NumVectors() {
-		return nil, fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, id)
+	if err := st.checkID(id); err != nil {
+		return nil, err
 	}
 	ts := st.loadState()
 	h := hashID(id)
@@ -569,8 +568,8 @@ func (st *storeTable) lookup(device *nvm.Device, id uint32, tr *StageTrace) ([]f
 // fresh copies), so the single lease taken before pass 1 covers everything.
 func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float32, outRaw [][]byte, tr *StageTrace, release *func()) error {
 	for _, id := range ids {
-		if int(id) >= st.src.NumVectors() {
-			return fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, id)
+		if err := st.checkID(id); err != nil {
+			return err
 		}
 	}
 	// have/copyPos abstract over the two output modes so the dedupe and
@@ -848,17 +847,15 @@ func (st *storeTable) serveBatch(device *nvm.Device, ids []uint32, out [][]float
 }
 
 // updateRaw is the write-through (no update log) single-vector update: a
-// journaled sub-block patch of the vector's slot. raw must be exactly
-// vecBytes long (callers validate). It is also the replica apply path for
-// stores without an overlay.
+// journaled sub-block patch of the vector's slot. id must be in range and
+// raw exactly vecBytes long (callers validate). It is also the replica
+// apply path for stores without an overlay.
 func (st *storeTable) updateRaw(device *nvm.Device, id uint32, raw []byte) error {
-	// Serialize concurrent updates of the table: two patches of the same
-	// slot must not interleave, and SetRaw/device order must be stable.
+	// Serialize concurrent updates of the table (two patches of the same
+	// slot must not interleave) and exclude whole-table rewrites, which
+	// read the image and write it back under this lock.
 	st.updateMu.Lock()
 	defer st.updateMu.Unlock()
-	if err := st.src.SetRaw(id, raw); err != nil {
-		return fmt.Errorf("core: table %q: %w", st.name, err)
-	}
 	ts := st.loadState()
 
 	// Patch exactly the vector's bytes inside its containing block. The

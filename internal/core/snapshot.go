@@ -3,14 +3,16 @@
 // an image into a fresh data dir (for a replica bootstrapping from the
 // stream).
 //
-// An export is the store's committed contents rendered from the
-// authoritative in-memory tables under the same locks the migration staging
-// machinery uses (mutateMu excludes Train/LoadState/migrations, every
-// table's updateMu excludes vector updates), so it can never observe a
-// half-rewritten table. The manifest and trained state use the exact on-disk
-// formats of a file-backed data dir, which makes the import side trivial:
-// write the block image through the journal-bypass bulk-load path, drop the
-// state file, and commit the manifest last — the same protocol initDir uses.
+// An export is the store's committed contents: every table's block image
+// read back from the device with its delta overlay patched in, under the
+// same locks the migration staging machinery uses (mutateMu excludes
+// Train/LoadState/migrations, compactMu excludes compactions, every table's
+// updateMu excludes vector updates), so it can never observe a
+// half-rewritten or half-compacted table. The manifest and trained state use
+// the exact on-disk formats of a file-backed data dir, which makes the import
+// side trivial: write the block image through the journal-bypass bulk-load
+// path, drop the state file, and commit the manifest last — the same
+// protocol initDir uses.
 //
 // Exports are identified by a snapshot sequence number that advances on
 // every committed mutation of the servable image (UpdateVector, Train,
@@ -112,15 +114,18 @@ type Snapshot struct {
 func (sn *Snapshot) TotalBlocks() int { return len(sn.Blocks) / nvm.BlockSize }
 
 // ExportSnapshot renders a crash-consistent snapshot of the store's
-// committed contents. It holds the whole-store mutator lock plus every
-// table's update lock while building the image — the same exclusion the
-// background-migration staging machinery relies on — so concurrent Train,
-// LoadState, UpdateVector or re-layout migrations can never tear the export.
-// Serving (lookups, cache fills) is not blocked at any point: the image is
-// rendered from the authoritative in-memory tables, not from the device.
+// committed contents. It holds the whole-store mutator lock, the compaction
+// lock and every table's update lock while building the image — the same
+// exclusion the background-migration staging machinery relies on — so
+// concurrent Train, LoadState, UpdateVector, compactions or re-layout
+// migrations can never tear the export. Serving (lookups, cache fills) is
+// not blocked at any point: each table's image is one bulk device read that
+// takes no serving lock, with the overlay patched over it.
 func (s *Store) ExportSnapshot() (*Snapshot, error) {
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	for _, st := range s.tables {
 		st.updateMu.Lock()
 		defer st.updateMu.Unlock()
@@ -130,10 +135,10 @@ func (s *Store) ExportSnapshot() (*Snapshot, error) {
 	for _, st := range s.tables {
 		totalBlocks += st.numBlocks
 	}
-	blocks := make([]byte, totalBlocks*nvm.BlockSize)
+	blocks := nvm.AlignedBytes(totalBlocks * nvm.BlockSize)
 	for _, st := range s.tables {
 		dst := blocks[st.blockBase*nvm.BlockSize : (st.blockBase+st.numBlocks)*nvm.BlockSize]
-		if err := buildTableImageInto(st, st.loadState().layout, dst); err != nil {
+		if _, err := s.readTableImage(st, dst); err != nil {
 			return nil, err
 		}
 	}

@@ -38,8 +38,11 @@ type TableStats struct {
 	CacheArenaBytes       int64
 	CacheArenaUtilization float64
 	CacheSlabs            int
-	Threshold             uint32
-	Prefetching           bool
+	// CacheReclaimBytes is the arena engine's slot-reclamation bookkeeping:
+	// the backing arrays of its free list and lease-grace limbo queue.
+	CacheReclaimBytes int64
+	Threshold         uint32
+	Prefetching       bool
 	// Policy names the admission policy currently serving prefetches
 	// (empty when prefetching is off).
 	Policy string
@@ -93,6 +96,7 @@ func (s *Store) Stats() []TableStats {
 		ts.CacheArenaBytes = es.ArenaBytes
 		ts.CacheArenaUtilization = es.ArenaUtilization
 		ts.CacheSlabs = es.Slabs
+		ts.CacheReclaimBytes = es.ReclaimBytes
 		if st.overlay != nil {
 			ts.OverlayEntries = st.overlay.size()
 		}

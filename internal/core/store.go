@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"bandana/internal/cache"
+	"bandana/internal/fp16"
 	"bandana/internal/iosched"
 	"bandana/internal/layout"
 	"bandana/internal/lru"
@@ -55,10 +56,11 @@ type Store struct {
 	mutateMu sync.Mutex
 	// adapt is the online adaptation engine; nil until StartAdaptation.
 	adapt atomic.Pointer[adapter]
-	// migrationPoisoned disables further background migrations after one
-	// whose copy and rollback both failed: the pending migration record is
-	// the repair and must not be disturbed before the next open.
-	migrationPoisoned atomic.Bool
+	// imageSuspect is set when a whole-table rewrite or migration failed
+	// and so did its rollback: some table's blocks may be torn, so every
+	// path that reads a table image (rewrites, migrations, snapshot export)
+	// refuses until the next open (checkImage).
+	imageSuspect atomic.Bool
 	// deltaLog is the append-only update log of the write-optimized update
 	// path; nil when Config.UpdateLog is off (updates then read-modify-write
 	// through to NVM).
@@ -140,12 +142,14 @@ type tableState struct {
 	cacheCap  int
 }
 
-// storeTable is the per-table state.
+// storeTable is the per-table state. It holds no copy of the vectors: the
+// block image on NVM plus the delta overlay are their only home, and the
+// DRAM cache holds a bounded subset.
 type storeTable struct {
 	// Immutable after Open.
 	index        int
 	name         string
-	src          *table.Table // authoritative copy used for rewrites/updates
+	numVectors   int
 	dim          int
 	vecBytes     int
 	blockVectors int
@@ -224,6 +228,33 @@ func (st *storeTable) mutateState(fn func(*tableState)) {
 	st.stateMu.Unlock()
 }
 
+// checkID rejects a vector ID outside the table.
+func (st *storeTable) checkID(id uint32) error {
+	if int(id) >= st.numVectors {
+		return fmt.Errorf("core: table %q: %w: %d", st.name, table.ErrBadVector, id)
+	}
+	return nil
+}
+
+// tableGeom is one table's geometry — everything the store needs to know
+// about a table besides the vectors themselves, which live on the device.
+type tableGeom struct {
+	name       string
+	dim        int
+	numVectors int
+}
+
+func (g tableGeom) vectorBytes() int { return g.dim * fp16.ByteSize }
+
+// geomsOf returns the geometries of caller-supplied tables.
+func geomsOf(tables []*table.Table) []tableGeom {
+	geoms := make([]tableGeom, len(tables))
+	for i, t := range tables {
+		geoms[i] = tableGeom{name: t.Name, dim: t.Dim, numVectors: t.NumVectors()}
+	}
+	return geoms
+}
+
 // tableSpan is one table's contiguous block range on the device.
 type tableSpan struct{ base, blocks, blockVectors int }
 
@@ -231,15 +262,15 @@ type tableSpan struct{ base, blocks, blockVectors int }
 // the spans plus the total device size in blocks. The layout is a pure
 // function of the table geometries, so a reopened file-backed store derives
 // identical spans from its manifest.
-func computeSpans(tables []*table.Table) ([]tableSpan, int) {
-	spans := make([]tableSpan, len(tables))
+func computeSpans(geoms []tableGeom) ([]tableSpan, int) {
+	spans := make([]tableSpan, len(geoms))
 	next := 0
-	for i, t := range tables {
-		bv := nvm.BlockSize / t.VectorBytes()
+	for i, g := range geoms {
+		bv := nvm.BlockSize / g.vectorBytes()
 		if bv < 1 {
 			bv = 1
 		}
-		blocks := (t.NumVectors() + bv - 1) / bv
+		blocks := (g.numVectors + bv - 1) / bv
 		spans[i] = tableSpan{base: next, blocks: blocks, blockVectors: bv}
 		next += blocks
 	}
@@ -249,6 +280,8 @@ func computeSpans(tables []*table.Table) ([]tableSpan, int) {
 // Open creates a Store, sizes (or adopts) the NVM device, writes every table
 // to NVM in its original order and sets up per-table caches with an even
 // split of the DRAM budget. Prefetching is disabled until Train is called.
+// The store keeps no reference to Config.Tables: once Open returns, the
+// device holds the only copy of the vectors the store needs.
 //
 // With Config.Backend == BackendFile the blocks live in a durable journaled
 // file under Config.DataDir: the first Open writes the tables to disk, and
@@ -273,7 +306,8 @@ func openMem(cfg Config) (*Store, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	spans, totalBlocks := computeSpans(cfg.Tables)
+	geoms := geomsOf(cfg.Tables)
+	spans, totalBlocks := computeSpans(geoms)
 	device := cfg.Device
 	owns := false
 	if device == nil {
@@ -282,14 +316,14 @@ func openMem(cfg Config) (*Store, error) {
 	} else if device.NumBlocks() < totalBlocks {
 		return nil, fmt.Errorf("core: device has %d blocks, need %d", device.NumBlocks(), totalBlocks)
 	}
-	s, err := buildStore(cfg, device, owns, spans)
+	s, err := buildStore(cfg, geoms, device, owns, spans)
 	if err != nil {
 		if owns {
 			device.Close()
 		}
 		return nil, err
 	}
-	if err := s.writeAllTables(); err != nil {
+	if err := s.writeTables(cfg.Tables); err != nil {
 		// Close the store, not just the device: the I/O scheduler's
 		// dispatcher must stop too. A caller-supplied device stays open
 		// (Close only closes owned devices), matching the old behaviour.
@@ -300,19 +334,24 @@ func openMem(cfg Config) (*Store, error) {
 }
 
 // buildStore assembles the Store skeleton (per-table state, caches,
-// counters) over an existing device without touching the device contents.
-func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*Store, error) {
-	// validate rejects an empty table list, but the budget split below
+// counters) for tables of the given geometries over an existing device
+// without touching the device contents. cfg.Tables is not consulted.
+func buildStore(cfg Config, geoms []tableGeom, device *nvm.Device, owns bool, spans []tableSpan) (*Store, error) {
+	// validation rejects an empty table list, but the budget split below
 	// divides by the table count — keep an explicit guard so a future
-	// validate change cannot turn this into a panic.
-	if len(cfg.Tables) == 0 {
+	// validation change cannot turn this into a panic.
+	if len(geoms) == 0 {
 		return nil, fmt.Errorf("core: config has no tables")
 	}
 	budget := cfg.DRAMBudgetVectors
 	if budget <= 0 {
-		budget = cfg.totalVectors() / 20
-		if budget < len(cfg.Tables) {
-			budget = len(cfg.Tables)
+		total := 0
+		for _, g := range geoms {
+			total += g.numVectors
+		}
+		budget = total / 20
+		if budget < len(geoms) {
+			budget = len(geoms)
 		}
 	}
 	shards := cfg.CacheShards
@@ -327,7 +366,7 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 	s := &Store{
 		device:     device,
 		ownsDevice: owns,
-		byName:     make(map[string]int, len(cfg.Tables)),
+		byName:     make(map[string]int, len(geoms)),
 		seed:       cfg.Seed,
 		dataDir:    cfg.DataDir,
 		readOnly:   cfg.ReadOnly,
@@ -359,17 +398,17 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 		}
 		s.deltaLog = l
 	}
-	perTable := budget / len(cfg.Tables)
+	perTable := budget / len(geoms)
 	if perTable < 1 {
 		perTable = 1
 	}
-	for i, t := range cfg.Tables {
+	for i, g := range geoms {
 		st := &storeTable{
 			index:            i,
-			name:             t.Name,
-			src:              t,
-			dim:              t.Dim,
-			vecBytes:         t.VectorBytes(),
+			name:             g.name,
+			numVectors:       g.numVectors,
+			dim:              g.dim,
+			vecBytes:         g.vectorBytes(),
 			blockVectors:     spans[i].blockVectors,
 			blockBase:        spans[i].base,
 			numBlocks:        spans[i].blocks,
@@ -390,15 +429,15 @@ func buildStore(cfg Config, device *nvm.Device, owns bool, spans []tableSpan) (*
 			sched:            s.sched,
 		}
 		st.state.Store(&tableState{
-			layout:   layout.Identity(t.NumVectors(), spans[i].blockVectors),
+			layout:   layout.Identity(g.numVectors, spans[i].blockVectors),
 			cacheCap: perTable,
-			cache:    newTableCache(engine, perTable, shards, t.Dim),
+			cache:    newTableCache(engine, perTable, shards, g.dim),
 		})
 		if s.deltaLog != nil {
 			st.overlay = newDeltaOverlay()
 		}
 		s.tables = append(s.tables, st)
-		s.byName[t.Name] = i
+		s.byName[g.name] = i
 	}
 	if s.deltaLog != nil {
 		s.compactCh = make(chan struct{}, 1)

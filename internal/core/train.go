@@ -56,9 +56,9 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 	// Validate the traces before mutating anything, so a bad input cannot
 	// leave the data dir flagged as interrupted (see the marker below).
 	for i, tr := range traces {
-		if tr != nil && tr.NumVectors != s.tables[i].src.NumVectors() {
+		if tr != nil && tr.NumVectors != s.tables[i].numVectors {
 			return nil, fmt.Errorf("core: table %q: trace covers %d vectors, table has %d",
-				s.tables[i].name, tr.NumVectors, s.tables[i].src.NumVectors())
+				s.tables[i].name, tr.NumVectors, s.tables[i].numVectors)
 		}
 	}
 
@@ -67,6 +67,11 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 	// protocol below.
 	s.mutateMu.Lock()
 	defer s.mutateMu.Unlock()
+	// Refuse before touching the marker: after a failed rollback it is the
+	// data dir's only record that the blocks are suspect.
+	if err := s.checkImage(); err != nil {
+		return nil, err
+	}
 
 	// Training rewrites whole tables, which is only crash-consistent as a
 	// unit on the file backend: set the rewrite marker first so a crash
@@ -131,7 +136,7 @@ func (s *Store) Train(traces []*trace.Trace, opts TrainOptions) (*TrainReport, e
 		demands = append(demands, alloc.TableDemand{
 			Name:       st.name,
 			HRC:        results[i].hrc,
-			MaxVectors: st.src.NumVectors(),
+			MaxVectors: st.numVectors,
 			MinVectors: st.blockVectors,
 		})
 		demandIdx = append(demandIdx, i)
@@ -196,9 +201,9 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 	err error
 }) {
 	st := s.tables[i]
-	if tr.NumVectors != st.src.NumVectors() {
+	if tr.NumVectors != st.numVectors {
 		out.err = fmt.Errorf("core: table %q: trace covers %d vectors, table has %d",
-			st.name, tr.NumVectors, st.src.NumVectors())
+			st.name, tr.NumVectors, st.numVectors)
 		return out
 	}
 	rep := &report.Tables[i]
@@ -219,7 +224,7 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 		for qi, q := range tr.Queries {
 			queries[qi] = q
 		}
-		res, err := shp.Partition(st.src.NumVectors(), queries, shp.Options{
+		res, err := shp.Partition(st.numVectors, queries, shp.Options{
 			BlockVectors: blockVectors,
 			Iterations:   opts.SHPIterations,
 			Seed:         s.seed + int64(i),

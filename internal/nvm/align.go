@@ -25,6 +25,11 @@ func alignedBytes(n int) []byte {
 	return raw[off : off+n : off+n]
 }
 
+// AlignedBytes returns a zeroed length-n slice whose backing array starts on
+// a BlockSize boundary, so direct I/O can read into or write from it without
+// bounce copies (e.g. a whole table's block image).
+func AlignedBytes(n int) []byte { return alignedBytes(n) }
+
 // isAligned reports whether the slice's backing address is BlockSize-aligned.
 // A nil/empty slice is trivially aligned (no transfer will use it).
 func isAligned(p []byte) bool {

@@ -219,46 +219,31 @@ func (d *Device) WriteBlockPatch(idx, off int, p []byte) error {
 	return d.WriteBlock(idx, buf)
 }
 
-// WriteBlockBulk writes src as block idx through the backing store's
-// bulk-load path, skipping any write-ahead journal it keeps (stores without
-// one behave exactly like WriteBlock). Use it for multi-block loads whose
-// crash-atomicity is handled by a higher-level commit point; single-block
-// updates should use WriteBlock.
-func (d *Device) WriteBlockBulk(idx int, src []byte) error {
-	bw, ok := d.store.(BulkWriter)
-	if !ok {
-		return d.WriteBlock(idx, src)
-	}
-	if err := bw.WriteBlockUnjournaled(idx, src); err != nil {
-		return err
-	}
-	d.blocksWritten.Inc()
-	return nil
-}
-
 // WriteBlocksBulk installs len(src)/BlockSize consecutive blocks starting
-// at base through the store's contiguous bulk path when it has one
-// (RangeBulkWriter: a single pwrite on the file backend), falling back to
-// per-block bulk writes otherwise. This is the migration copy-in path; the
-// caller owns the crash-atomicity commit point.
+// at base through the store's unjournaled range write (a single pwrite on
+// the file backend). It is the path of whole-table loads, rewrites and the
+// migration copy-in; the caller owns the crash-atomicity commit point.
 func (d *Device) WriteBlocksBulk(base int, src []byte) error {
 	if len(src)%BlockSize != 0 {
 		return fmt.Errorf("nvm: bulk write of %d bytes is not block-aligned", len(src))
 	}
-	n := len(src) / BlockSize
-	if rw, ok := d.store.(RangeBulkWriter); ok {
-		if err := rw.WriteBlocksUnjournaled(base, src); err != nil {
-			return err
-		}
-		d.blocksWritten.Add(int64(n))
-		return nil
+	if err := d.store.WriteBlocksUnjournaled(base, src); err != nil {
+		return err
 	}
-	for i := 0; i < n; i++ {
-		if err := d.WriteBlockBulk(base+i, src[i*BlockSize:(i+1)*BlockSize]); err != nil {
-			return err
-		}
-	}
+	d.blocksWritten.Add(int64(len(src) / BlockSize))
 	return nil
+}
+
+// ReadBlocksBulk reads len(dst)/BlockSize consecutive blocks starting at
+// base through the store's range read (a single pread on the file backend).
+// It is the mirror of WriteBlocksBulk for whole-table maintenance
+// (rewrites, migrations, snapshot export): it samples no latency and counts
+// no block reads, so the serving counters keep describing lookups only.
+func (d *Device) ReadBlocksBulk(base int, dst []byte) error {
+	if len(dst)%BlockSize != 0 {
+		return fmt.Errorf("nvm: bulk read of %d bytes is not block-aligned", len(dst))
+	}
+	return d.store.ReadBlockRange(base, dst)
 }
 
 // Flush forces buffered writes of the backing store to stable storage; it is

@@ -82,7 +82,7 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 	unalignedDst := make([]byte, BlockSize+1)[1:] // deliberately misaligned caller buffer
 	for op := 0; op < 300; op++ {
 		idx := rng.Intn(numBlocks)
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0, 1:
 			src := make([]byte, BlockSize)
 			rng.Read(src)
@@ -93,7 +93,7 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 		case 2:
 			src := make([]byte, BlockSize)
 			rng.Read(src)
-			if err := s.WriteBlockUnjournaled(idx, src); err != nil {
+			if err := s.WriteBlocksUnjournaled(idx, src); err != nil {
 				t.Fatal(err)
 			}
 			shadow[idx] = src
@@ -139,6 +139,24 @@ func TestFileStoreDirectAlignmentInvariants(t *testing.T) {
 			}
 			if !bytes.Equal(dst[:BlockSize], want) {
 				t.Fatalf("op %d: block %d content mismatch", op, idx)
+			}
+		case 6: // contiguous range read into an unaligned caller buffer
+			n := 1 + rng.Intn(4)
+			if idx+n > numBlocks {
+				n = numBlocks - idx
+			}
+			dst := make([]byte, n*BlockSize+1)[1:]
+			if err := s.ReadBlockRange(idx, dst); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				want, ok := shadow[idx+i]
+				if !ok {
+					want = make([]byte, BlockSize)
+				}
+				if !bytes.Equal(dst[i*BlockSize:(i+1)*BlockSize], want) {
+					t.Fatalf("op %d: range read block %d content mismatch", op, idx+i)
+				}
 			}
 		}
 	}
@@ -304,7 +322,7 @@ func TestFileStorePatchSupersededByBulkWrite(t *testing.T) {
 	if err := s.WriteBlockPatch(2, 100, bytes.Repeat([]byte{0xAB}, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlockUnjournaled(2, fillBlock(0x11)); err != nil {
+	if err := s.WriteBlocksUnjournaled(2, fillBlock(0x11)); err != nil {
 		t.Fatal(err)
 	}
 	s.f.Close() // crash before any GC retired the patch record

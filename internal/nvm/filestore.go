@@ -116,6 +116,11 @@ var ErrStoreLocked = errors.New("nvm: store file is locked by another process")
 
 var errInjectedFault = errors.New("nvm: injected write fault")
 
+// ErrUnrepairedWrite reports a range read over a block whose in-place write
+// failed: until the next open replays its pinned journal record, the data
+// region may hold a torn image of that block.
+var ErrUnrepairedWrite = errors.New("nvm: block has a failed in-place write awaiting repair at the next open")
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SyncMode selects the durability of a FileStore.
@@ -664,47 +669,14 @@ func (s *FileStore) WriteBlockPatch(idx, off int, p []byte) error {
 	return nil
 }
 
-// WriteBlockUnjournaled implements BulkWriter: it writes a block in place
-// with no write-ahead journal record, which makes bulk loads (initial table
-// ingest, whole-table layout rewrites) one pwrite per block instead of two.
-// Crash-safety contract: a torn write can surface a mixed block, so callers
-// must wrap the load in their own commit point and redo it entirely if
-// interrupted. Single-block updates should use WriteBlock.
-func (s *FileStore) WriteBlockUnjournaled(idx int, src []byte) error {
-	if idx < 0 || idx >= s.n {
-		return fmt.Errorf("nvm: block %d out of range [0,%d)", idx, s.n)
-	}
-	if len(src) > BlockSize {
-		return fmt.Errorf("nvm: block write of %d bytes exceeds block size", len(src))
-	}
-	bufp := GetBlockBuf()
-	defer PutBlockBuf(bufp)
-	buf := *bufp
-	copy(buf, src)
-	for i := len(src); i < BlockSize; i++ {
-		buf[i] = 0
-	}
-	// Any live journal record for this block is stale the moment the bulk
-	// bytes land; tombstone first so a crash cannot replay it over them.
-	if err := s.ring.supersedeRange(idx, 1); err != nil {
-		return err
-	}
-	lock := &s.locks[idx%blockStripes]
-	lock.Lock()
-	err := s.writeAt(buf, s.dataOff+int64(idx)*BlockSize)
-	lock.Unlock()
-	if err != nil {
-		return fmt.Errorf("nvm: block write: %w", err)
-	}
-	return nil
-}
-
-// WriteBlocksUnjournaled implements RangeBulkWriter: a contiguous run of
-// blocks lands in a single pwrite. To exclude concurrent single-block
+// WriteBlocksUnjournaled implements BlockStore: a contiguous run of blocks
+// lands in a single pwrite with no write-ahead journal record, one pwrite
+// per range instead of two per block. To exclude concurrent single-block
 // writers it takes every stripe lock the range touches, always in ascending
 // stripe order (single-block writers take exactly one stripe lock, so lock
-// ordering cannot deadlock). Crash-safety contract matches
-// WriteBlockUnjournaled: the caller owns the commit point.
+// ordering cannot deadlock). Crash-safety contract: a torn write can
+// surface mixed blocks, so the caller owns the commit point and redoes the
+// whole range if interrupted.
 func (s *FileStore) WriteBlocksUnjournaled(base int, src []byte) error {
 	if len(src)%BlockSize != 0 {
 		return fmt.Errorf("nvm: bulk write of %d bytes is not block-aligned", len(src))
@@ -716,21 +688,14 @@ func (s *FileStore) WriteBlocksUnjournaled(base int, src []byte) error {
 	if base < 0 || base+n > s.n {
 		return fmt.Errorf("nvm: bulk write [%d,%d) out of range [0,%d)", base, base+n, s.n)
 	}
-	// As in WriteBlockUnjournaled: stale journal records must die before
-	// the bulk bytes land. In the common bulk-load case no record targets
-	// the range and this issues no I/O.
+	// Any live journal record for the range is stale the moment the bulk
+	// bytes land; tombstone first so a crash cannot replay it over them.
+	// In the common bulk-load case no record targets the range and this
+	// issues no I/O.
 	if err := s.ring.supersedeRange(base, n); err != nil {
 		return err
 	}
-	stripes := n
-	if stripes > blockStripes {
-		stripes = blockStripes
-	}
-	held := make([]int, 0, stripes)
-	for i := 0; i < stripes; i++ {
-		held = append(held, (base+i)%blockStripes)
-	}
-	sort.Ints(held)
+	held := rangeStripes(base, n)
 	for _, st := range held {
 		s.locks[st].Lock()
 	}
@@ -742,6 +707,56 @@ func (s *FileStore) WriteBlocksUnjournaled(base int, src []byte) error {
 		return fmt.Errorf("nvm: bulk write: %w", err)
 	}
 	return nil
+}
+
+// ReadBlockRange implements BlockStore: a contiguous run of blocks in a
+// single pread, holding every stripe lock the range touches shared (in
+// ascending order, like WriteBlocksUnjournaled) so no single-block write
+// lands half-way through the read. It fails with ErrUnrepairedWrite while a
+// failed in-place write into the range is pending: the data region may hold
+// a torn block whose only good copy is the pinned journal record, and a
+// caller that rewrote the range from this read would both keep the torn
+// bytes and tombstone the record.
+func (s *FileStore) ReadBlockRange(base int, dst []byte) error {
+	if len(dst)%BlockSize != 0 {
+		return fmt.Errorf("nvm: range read of %d bytes is not block-aligned", len(dst))
+	}
+	n := len(dst) / BlockSize
+	if n == 0 {
+		return nil
+	}
+	if base < 0 || base+n > s.n {
+		return fmt.Errorf("nvm: range read [%d,%d) out of range [0,%d)", base, base+n, s.n)
+	}
+	held := rangeStripes(base, n)
+	for _, st := range held {
+		s.locks[st].RLock()
+	}
+	var err error
+	if s.ring.failedIn(base, n) {
+		err = ErrUnrepairedWrite
+	} else {
+		err = s.readAt(dst, s.dataOff+int64(base)*BlockSize)
+	}
+	for _, st := range held {
+		s.locks[st].RUnlock()
+	}
+	if err != nil {
+		return fmt.Errorf("nvm: range read: %w", err)
+	}
+	return nil
+}
+
+// rangeStripes returns the stripe locks covering blocks [base, base+n) in
+// ascending order — the order every multi-stripe locker must use.
+func rangeStripes(base, n int) []int {
+	stripes := min(n, blockStripes)
+	held := make([]int, 0, stripes)
+	for i := 0; i < stripes; i++ {
+		held = append(held, (base+i)%blockStripes)
+	}
+	sort.Ints(held)
+	return held
 }
 
 // replayJournal scans the ring record chain from the persisted watermark and
@@ -857,7 +872,6 @@ func (s *FileStore) Close() error {
 var (
 	_ BlockStore     = (*FileStore)(nil)
 	_ Flusher        = (*FileStore)(nil)
-	_ BulkWriter     = (*FileStore)(nil)
 	_ BackendStatser = (*FileStore)(nil)
 	_ io.Closer      = (*FileStore)(nil)
 )

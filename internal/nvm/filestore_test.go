@@ -281,7 +281,7 @@ func TestFileStoreQuarantineReleasedBySupersedingWrite(t *testing.T) {
 		// Supersede block 2 with new content via the chosen path.
 		final := fillBlock(0x99)
 		if bulk {
-			err = s.WriteBlockUnjournaled(2, final)
+			err = s.WriteBlocksUnjournaled(2, final)
 		} else {
 			err = s.WriteBlock(2, final)
 		}
@@ -334,7 +334,7 @@ func TestFileStoreBulkRewriteNotClobberedByStaleJournal(t *testing.T) {
 	if err := s.WriteBlock(2, fillBlock(0xAA)); err != nil { // journaled
 		t.Fatal(err)
 	}
-	if err := s.WriteBlockUnjournaled(2, fillBlock(0xBB)); err != nil { // bulk rewrite
+	if err := s.WriteBlocksUnjournaled(2, fillBlock(0xBB)); err != nil { // bulk rewrite
 		t.Fatal(err)
 	}
 	s.f.Close() // crash without clean Close
@@ -533,10 +533,10 @@ func TestFileStoreWriteBlockUnjournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.WriteBlockUnjournaled(1, fillBlock(0x77)); err != nil {
+	if err := s.WriteBlocksUnjournaled(1, fillBlock(0x77)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteBlockUnjournaled(9, fillBlock(1)); err == nil {
+	if err := s.WriteBlocksUnjournaled(9, fillBlock(1)); err == nil {
 		t.Fatal("expected out-of-range error")
 	}
 	dst := make([]byte, BlockSize)
@@ -550,15 +550,14 @@ func TestFileStoreWriteBlockUnjournaled(t *testing.T) {
 		t.Fatalf("unjournaled write produced %d journal records", got)
 	}
 
-	// Device-level: the bulk path falls back to WriteBlock on MemStore and
-	// counts blocks written either way.
+	// Device-level: the bulk path counts blocks written on both backends.
 	d := NewDevice(DeviceConfig{Store: s, Seed: 1})
-	if err := d.WriteBlockBulk(2, fillBlock(0x33)); err != nil {
+	if err := d.WriteBlocksBulk(2, fillBlock(0x33)); err != nil {
 		t.Fatal(err)
 	}
 	mem := NewDevice(DeviceConfig{NumBlocks: 4, Seed: 1})
 	defer mem.Close()
-	if err := mem.WriteBlockBulk(2, fillBlock(0x33)); err != nil {
+	if err := mem.WriteBlocksBulk(2, fillBlock(0x33)); err != nil {
 		t.Fatal(err)
 	}
 	if d.Stats().BlocksWritten != 1 || mem.Stats().BlocksWritten != 1 {
@@ -608,5 +607,54 @@ func TestDeviceReadBlocksAndFlush(t *testing.T) {
 	}
 	if s.BlocksRead != int64(len(idxs)) {
 		t.Fatalf("blocks read %d", s.BlocksRead)
+	}
+}
+
+// A range read over a block whose in-place write failed must refuse rather
+// than return the possibly torn data-region bytes: the pinned journal record
+// is the only good copy until the next open replays it. Reads of ranges
+// that avoid the block, and every read after the reopen, succeed.
+func TestFileStoreRangeReadRefusesUnrepairedBlock(t *testing.T) {
+	for _, patch := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "nvm.bnd")
+		s, err := CreateFileStore(path, 8, FileStoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteBlocksUnjournaled(0, bytes.Repeat([]byte{0x11}, 8*BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+		want := fillBlock(0x55)
+		s.failAfterWrites(2) // the journal append succeeds, the in-place write tears
+		if patch {
+			err = s.WriteBlockPatch(2, 0, want)
+		} else {
+			err = s.WriteBlock(2, want)
+		}
+		if err == nil {
+			t.Fatal("expected injected write fault")
+		}
+		s.faultArmed.Store(false)
+
+		dst := make([]byte, 4*BlockSize)
+		if err := s.ReadBlockRange(0, dst); !errors.Is(err, ErrUnrepairedWrite) {
+			t.Fatalf("patch=%v: range read over the failed block: err=%v, want ErrUnrepairedWrite", patch, err)
+		}
+		if err := s.ReadBlockRange(4, dst); err != nil {
+			t.Fatalf("patch=%v: range read clear of the failed block: %v", patch, err)
+		}
+		s.f.Close() // crash without clean Close
+
+		r, err := OpenFileStore(path, FileStoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.ReadBlockRange(0, dst); err != nil {
+			t.Fatalf("patch=%v: range read after recovery: %v", patch, err)
+		}
+		if !bytes.Equal(dst[2*BlockSize:3*BlockSize], want) {
+			t.Fatalf("patch=%v: recovery did not replay the pinned record", patch)
+		}
+		r.Close()
 	}
 }

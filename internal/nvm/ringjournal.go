@@ -331,6 +331,25 @@ func (r *ringJournal) supersedeFailed(block uint64, afterSeq uint64) error {
 	return nil
 }
 
+// failedIn reports whether a failed (pinned) record targets a block in
+// [base, base+n).
+func (r *ringJournal) failedIn(base, n int) bool {
+	lo, hi := uint64(base), uint64(base+n)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.nFailed == 0 {
+		return false
+	}
+	for _, rec := range r.pending {
+		if rec.failed {
+			if b := targetBlock(rec.target); b >= lo && b < hi {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // supersedeRange tombstones every live record targeting [base, base+n).
 // Bulk unjournaled writes call it BEFORE their data pwrite: once the bulk
 // bytes land, a crash must not replay a stale journaled image over them.

@@ -189,6 +189,12 @@ func TestRingJournalFullPinnedByFailedWrite(t *testing.T) {
 	if err := s.WriteBlock(0, fillBlock(0x01)); err != nil {
 		t.Fatal(err)
 	}
+	// Retire block 0's record now: on this small ring its completion kicks
+	// the background GC, whose watermark pwrite would otherwise land inside
+	// the fault countdown below.
+	if err := s.ring.gc(); err != nil {
+		t.Fatal(err)
+	}
 	// Tear the in-place write of block 1 (pwrite 1 = journal append, pwrite
 	// 2 = in-place): its record pins the GC head.
 	s.failAfterWrites(2)

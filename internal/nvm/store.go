@@ -17,6 +17,20 @@ type BlockStore interface {
 	ReadBlocks(idxs []int, dst []byte) error
 	// WriteBlock stores src (at most BlockSize bytes) as block idx.
 	WriteBlock(idx int, src []byte) error
+	// ReadBlockRange copies len(dst)/BlockSize consecutive blocks starting
+	// at block base into dst in one operation (a single pread on the file
+	// backend) — the whole-table read of rewrites, migrations and snapshot
+	// export. len(dst) must be a multiple of BlockSize.
+	ReadBlockRange(base int, dst []byte) error
+	// WriteBlocksUnjournaled installs len(src)/BlockSize consecutive blocks
+	// starting at block base in one operation (a single pwrite on the file
+	// backend), skipping any write-ahead journal the store keeps. Use it
+	// only when crash-atomicity is provided at a higher level: a torn write
+	// leaves mixed blocks, so the caller must be able to detect the
+	// interruption and redo the whole range (see core's manifest,
+	// rewrite-marker and migration commit points). len(src) must be a
+	// multiple of BlockSize.
+	WriteBlocksUnjournaled(base int, src []byte) error
 	// Close releases resources.
 	Close() error
 }
@@ -25,15 +39,6 @@ type BlockStore interface {
 // Flush forces them to stable storage.
 type Flusher interface {
 	Flush() error
-}
-
-// BulkWriter is implemented by block stores that offer an unjournaled
-// bulk-load write path (FileStore). Use it only when crash-atomicity is
-// provided at a higher level — a torn unjournaled write leaves a mixed
-// block, so the caller must be able to detect the interruption and redo the
-// whole load (see core's manifest / rewrite-marker commit points).
-type BulkWriter interface {
-	WriteBlockUnjournaled(idx int, src []byte) error
 }
 
 // PatchWriter is implemented by block stores with a journaled sub-block
@@ -45,19 +50,6 @@ type BulkWriter interface {
 // full-page writes.
 type PatchWriter interface {
 	WriteBlockPatch(idx, off int, p []byte) error
-}
-
-// RangeBulkWriter is implemented by block stores that can install a
-// contiguous run of blocks in one operation (a single pwrite on the file
-// backend). It is the copy-in path of background layout migration: the
-// staged image of a whole table lands in its block range at device
-// bandwidth instead of block by block. Same crash-safety contract as
-// BulkWriter — the caller owns the commit point and must redo the whole
-// range if interrupted.
-type RangeBulkWriter interface {
-	// WriteBlocksUnjournaled writes len(src)/BlockSize consecutive blocks
-	// starting at block base. len(src) must be a multiple of BlockSize.
-	WriteBlocksUnjournaled(base int, src []byte) error
 }
 
 // BackendStats describes a block store backend for reporting.
@@ -185,8 +177,8 @@ func (s *MemStore) WriteBlockPatch(idx, off int, p []byte) error {
 	return nil
 }
 
-// WriteBlocksUnjournaled implements RangeBulkWriter: one copy under one
-// lock acquisition.
+// WriteBlocksUnjournaled implements BlockStore: one copy under one lock
+// acquisition.
 func (s *MemStore) WriteBlocksUnjournaled(base int, src []byte) error {
 	if len(src)%BlockSize != 0 {
 		return fmt.Errorf("nvm: bulk write of %d bytes is not block-aligned", len(src))
@@ -198,6 +190,22 @@ func (s *MemStore) WriteBlocksUnjournaled(base int, src []byte) error {
 	s.mu.Lock()
 	copy(s.data[base*BlockSize:], src)
 	s.mu.Unlock()
+	return nil
+}
+
+// ReadBlockRange implements BlockStore: one copy under one shared lock
+// acquisition.
+func (s *MemStore) ReadBlockRange(base int, dst []byte) error {
+	if len(dst)%BlockSize != 0 {
+		return fmt.Errorf("nvm: range read of %d bytes is not block-aligned", len(dst))
+	}
+	n := len(dst) / BlockSize
+	if base < 0 || base+n > s.n {
+		return fmt.Errorf("nvm: range read [%d,%d) out of range [0,%d)", base, base+n, s.n)
+	}
+	s.mu.RLock()
+	copy(dst, s.data[base*BlockSize:])
+	s.mu.RUnlock()
 	return nil
 }
 

@@ -155,6 +155,8 @@ func (s *Server) buildRegistry() *metrics.Registry {
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheArenaBytes) }))
 	r.Register("bandana_table_cache_arena_utilization", "gauge", "Resident payload bytes over allocated arena bytes per table (0 on the lru engine).",
 		perTable(func(ts core.TableStats) float64 { return ts.CacheArenaUtilization }))
+	r.Register("bandana_table_cache_reclaim_bytes", "gauge", "Backing-array bytes of the cache's free list and lease-grace limbo queue per table (0 on the lru engine).",
+		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheReclaimBytes) }))
 	r.Register("bandana_table_cache_slabs", "gauge", "Allocated cache arena slabs per table (0 on the lru engine).",
 		perTable(func(ts core.TableStats) float64 { return float64(ts.CacheSlabs) }))
 	r.Register("bandana_cache_engine_info", "gauge", "Cache engine descriptor (value is always 1).", func() []metrics.Sample {

@@ -16,8 +16,8 @@
 //	    409 Conflict with the new seq in the body, telling the replica to
 //	    restart its sync against the newer image.
 //
-// The export is built at most once per seq (cached) and rendered from the
-// authoritative in-memory tables under the migration-staging locks, so it is
+// The export is built at most once per seq (cached) from the store's block
+// image and delta overlay under the migration-staging locks, so it is
 // crash-consistent by construction and serving is never blocked.
 package server
 

@@ -28,3 +28,16 @@ func (c *Cache) MintedSlots() int {
 	}
 	return n
 }
+
+// LimboCap returns the summed backing-array capacity of every shard's limbo
+// queue, for bounding reclamation memory in tests.
+func (c *Cache) LimboCap() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += cap(s.limbo)
+		s.mu.Unlock()
+	}
+	return n
+}

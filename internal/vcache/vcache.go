@@ -76,7 +76,8 @@ type slotMeta struct {
 	segflags uint32
 }
 
-// limboSlot is an evicted slot awaiting lease-grace reclamation.
+// limboSlot is an evicted slot awaiting lease-grace reclamation (16 bytes
+// with padding).
 type limboSlot struct {
 	slot  uint32
 	epoch uint64
@@ -109,7 +110,8 @@ type shard struct {
 	meta  []slotMeta
 
 	// free holds immediately reusable slots; limbo holds evicted slots
-	// waiting out the lease grace period (FIFO from limboHead).
+	// waiting out the lease grace period (FIFO from limboHead; entries
+	// before limboHead are consumed and compacted away by reclaim).
 	free      []uint32
 	limbo     []limboSlot
 	limboHead int
@@ -477,32 +479,17 @@ func (s *shard) rebalance() {
 
 // ---- slot allocation / reclamation ----
 
-// alloc returns a payload slot: from the free list, from limbo once the
-// lease grace has passed, or freshly minted (growing a slab if needed).
-// Minting while evicted slots sit in limbo transiently overshoots the
-// arena's slot budget by at most the number of evictions inside concurrent
-// lease windows.
+// alloc returns a payload slot: from the free list (first refilled with
+// every limbo slot whose lease grace has passed), or freshly minted
+// (growing a slab if needed). Minting while evicted slots sit in limbo
+// transiently overshoots the arena's slot budget by at most the number of
+// evictions inside concurrent lease windows.
 func (s *shard) alloc(c *Cache) uint32 {
+	s.reclaim(c)
 	if n := len(s.free); n > 0 {
 		slot := s.free[n-1]
 		s.free = s.free[:n-1]
 		return slot
-	}
-	if s.limboHead < len(s.limbo) {
-		ls := s.limbo[s.limboHead]
-		e := c.epoch.Load()
-		if e < ls.epoch+2 {
-			c.tryAdvance()
-			e = c.epoch.Load()
-		}
-		if e >= ls.epoch+2 {
-			s.limboHead++
-			if s.limboHead == len(s.limbo) {
-				s.limbo = s.limbo[:0]
-				s.limboHead = 0
-			}
-			return ls.slot
-		}
 	}
 	slot := s.nextSlot
 	s.nextSlot++
@@ -511,6 +498,43 @@ func (s *shard) alloc(c *Cache) uint32 {
 	}
 	s.meta = append(s.meta, slotMeta{prev: nilIdx, next: nilIdx})
 	return slot
+}
+
+// minLimboCap is the limbo queue capacity below which reclaim never shrinks
+// the backing array.
+const minLimboCap = 64
+
+// reclaim moves every limbo slot whose lease grace has passed to the free
+// list. Limbo is FIFO by epoch, so the reclaimable slots are always a
+// prefix. The queue is compacted once its consumed head is at least half of
+// it, and reallocated smaller when it is mostly empty, so its memory stays
+// proportional to the slots still waiting out the grace period instead of
+// to every eviction since the last time limbo drained.
+func (s *shard) reclaim(c *Cache) {
+	if s.limboHead == len(s.limbo) {
+		return
+	}
+	e := c.epoch.Load()
+	if e < s.limbo[s.limboHead].epoch+2 {
+		c.tryAdvance()
+		e = c.epoch.Load()
+	}
+	head := s.limboHead
+	for head < len(s.limbo) && e >= s.limbo[head].epoch+2 {
+		s.free = append(s.free, s.limbo[head].slot)
+		head++
+	}
+	s.limboHead = head
+	if 2*head < len(s.limbo) {
+		return
+	}
+	live := s.limbo[head:]
+	if cap(s.limbo) > minLimboCap && 4*len(live) < cap(s.limbo) {
+		s.limbo = append(make([]limboSlot, 0, 2*len(live)), live...)
+	} else {
+		s.limbo = s.limbo[:copy(s.limbo, live)]
+	}
+	s.limboHead = 0
 }
 
 // park retires a slot that is no longer reachable through the index. If no
@@ -820,7 +844,12 @@ type Stats struct {
 	Slabs       int
 	FreeSlots   int
 	LimboSlots  int
-	Epoch       uint64
+	// ReclaimBytes is the backing-array footprint of the free list and the
+	// limbo queue (their capacities, not just their live lengths): the
+	// reclamation bookkeeping a long-lived cache carries on top of its
+	// arenas, metadata and index.
+	ReclaimBytes int64
+	Epoch        uint64
 }
 
 // Stats gathers byte accounting across all shards.
@@ -842,6 +871,7 @@ func (c *Cache) Stats() Stats {
 		st.IndexBytes += int64(len(s.idx)) * 8
 		st.FreeSlots += len(s.free)
 		st.LimboSlots += len(s.limbo) - s.limboHead
+		st.ReclaimBytes += int64(cap(s.free))*4 + int64(cap(s.limbo))*16
 		s.mu.Unlock()
 	}
 	st.BytesResident = int64(st.Entries) * int64(c.slotBytes)

@@ -191,6 +191,111 @@ func TestLimboReclaim(t *testing.T) {
 	}
 }
 
+// checkReclaimBounded asserts that reclamation keeps the cache's memory
+// proportional to its capacity: parked slots, arena bytes and the limbo
+// queue's backing array all stay under a fixed multiple of it.
+func checkReclaimBounded(t *testing.T, c *vcache.Cache, capacity int, when string) {
+	t.Helper()
+	bound := 4 * capacity
+	st := c.Stats()
+	if n := st.LimboSlots + st.FreeSlots; n > bound {
+		t.Fatalf("%s: %d limbo + free slots, bound %d", when, n, bound)
+	}
+	if st.ArenaBytes > int64(2*bound*testSlot) {
+		t.Fatalf("%s: arena holds %d bytes, bound %d", when, st.ArenaBytes, 2*bound*testSlot)
+	}
+	if n := c.LimboCap(); n > bound {
+		t.Fatalf("%s: limbo queue capacity %d, bound %d", when, n, bound)
+	}
+	if st.ReclaimBytes > int64(bound*(16+4)) {
+		t.Fatalf("%s: ReclaimBytes = %d, bound %d", when, st.ReclaimBytes, bound*(16+4))
+	}
+}
+
+// TestLimboBoundedUnderOverlappingLeases keeps a lease live at every
+// instant — two overlapping leases, each released only after the other is
+// acquired — while inserting 50x the capacity. Limbo never fully drains in
+// that regime, so reclamation must work from its head: the parked slots
+// and the queue's backing array must stay proportional to the capacity
+// rather than to the number of evictions.
+func TestLimboBoundedUnderOverlappingLeases(t *testing.T) {
+	const capacity = 256
+	c := newTestCache(capacity, 4)
+	var leases [2]func()
+	cur := 0
+	leases[cur] = c.Lease()
+	for i := 0; i < 50*capacity; i++ {
+		c.Add(uint32(i), payloadFor(uint32(i), 0), false)
+		if i%16 == 15 {
+			next := 1 - cur
+			leases[next] = c.Lease()
+			leases[cur]()
+			cur = next
+		}
+		if i%capacity == 0 {
+			checkReclaimBounded(t, c, capacity, fmt.Sprintf("after %d inserts", i+1))
+		}
+	}
+	if c.LimboLen() == 0 {
+		t.Fatal("limbo is empty with a lease live: the test no longer exercises the grace period")
+	}
+	checkReclaimBounded(t, c, capacity, "end")
+	leases[cur]()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLimboBoundedConcurrentLeases runs readers and writers on many
+// goroutines, each request under its own lease: leased views must never
+// change under the reader. How far the arena overshoots while a descheduled
+// reader holds the epoch back depends on the scheduler, so the bound is
+// checked once the leases are gone: a little churn must drain limbo and
+// release its backing array.
+func TestLimboBoundedConcurrentLeases(t *testing.T) {
+	const capacity = 512
+	c := newTestCache(capacity, 8)
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 10*capacity; i++ {
+				release := c.Lease()
+				id := uint32(rng.Intn(4 * capacity))
+				view, _, ok := c.Get(id)
+				other := uint32(rng.Intn(4 * capacity))
+				c.Add(other, payloadFor(other, byte(g)), false)
+				if ok && (view[0] != byte(id) || view[1] != byte(id>>8)) {
+					failed.Store(true)
+				}
+				release()
+				if !ok {
+					c.Add(id, payloadFor(id, byte(g)), false)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if failed.Load() {
+		t.Fatal("a leased view changed under its reader")
+	}
+	for i := 0; i < 2*capacity; i++ {
+		c.Add(uint32(i), payloadFor(uint32(i), 0), false)
+	}
+	if n := c.LimboLen(); n != 0 {
+		t.Fatalf("limbo holds %d slots after the leases ended", n)
+	}
+	if n := c.LimboCap(); n > 64*c.NumShards() {
+		t.Fatalf("drained limbo still holds a backing array of %d entries", n)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAddAtGuard(t *testing.T) {
 	c := newTestCache(8, 1)
 	var guard atomic.Uint64
