@@ -25,7 +25,7 @@ func TestAnalysisToolkit(t *testing.T) {
 
 	// SHP partitioning through the public API.
 	res, err := bandana.PartitionSHP(profile.NumVectors, train.Queries, bandana.SHPOptions{
-		BlockVectors: 32, Iterations: 6, Seed: 1,
+		BlockVectors: 32, Iterations: 6,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -311,8 +311,8 @@ func openAndMaybeTrain(cfg core.Config, workload *trace.Workload, train bool, re
 			return nil, err
 		}
 		for _, tr := range report.Tables {
-			log.Printf("  %-10s fanout %.1f -> %.1f, cache %d vectors, threshold %d",
-				tr.Name, tr.InitialFanout, tr.FinalFanout, tr.CacheVectors, tr.Threshold)
+			log.Printf("  %-10s fanout %.1f -> %.1f in %s, cache %d vectors, threshold %d",
+				tr.Name, tr.InitialFanout, tr.FinalFanout, tr.PartitionTime.Round(time.Millisecond), tr.CacheVectors, tr.Threshold)
 		}
 		log.Printf("training finished in %s", time.Since(start).Round(time.Millisecond))
 		if dir := store.DataDir(); dir != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"time"
 
 	"bandana/internal/core"
 	"bandana/internal/nvm"
@@ -83,8 +84,8 @@ func initCmd(args []string) error {
 			return err
 		}
 		for _, tr := range report.Tables {
-			fmt.Printf("  %-10s fanout %.1f -> %.1f, cache %d vectors, threshold %d\n",
-				tr.Name, tr.InitialFanout, tr.FinalFanout, tr.CacheVectors, tr.Threshold)
+			fmt.Printf("  %-10s fanout %.1f -> %.1f in %s, cache %d vectors, threshold %d\n",
+				tr.Name, tr.InitialFanout, tr.FinalFanout, tr.PartitionTime.Round(time.Millisecond), tr.CacheVectors, tr.Threshold)
 		}
 	}
 	// The final Close performs the flush that makes the ingest durable —

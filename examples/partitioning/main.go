@@ -74,7 +74,7 @@ func main() {
 	// 3. Supervised partitioning with SHP over the training queries.
 	start = time.Now()
 	shpRes, err := bandana.PartitionSHP(numVectors, train.Queries, bandana.SHPOptions{
-		BlockVectors: 32, Iterations: 12, Seed: 7,
+		BlockVectors: 32, Iterations: 12,
 	})
 	if err != nil {
 		log.Fatal(err)

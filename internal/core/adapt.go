@@ -549,7 +549,6 @@ func (s *Store) maybeRelayout(st *storeTable, tr *trace.Trace, opts AdaptOptions
 		res, err := shp.Repartition(cur.Order(), queries, shp.Options{
 			BlockVectors: st.blockVectors,
 			Iterations:   opts.SHPIterations,
-			Seed:         s.seed + int64(st.index),
 		})
 		if err != nil {
 			return false, 0, 0, fmt.Errorf("core: table %q: %w", st.name, err)

@@ -206,6 +206,9 @@ func TestTrainEnablesPrefetchingAndImprovesEffectiveBandwidth(t *testing.T) {
 		if tr.CacheVectors <= 0 {
 			t.Fatalf("table %d: no DRAM allocated", i)
 		}
+		if tr.PartitionTime <= 0 {
+			t.Fatalf("table %d: partition time not recorded", i)
+		}
 	}
 	trainedStats := serve()
 
@@ -277,7 +280,7 @@ func TestTrainSkipOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Tables[0].FinalFanout != 0 {
+	if rep.Tables[0].FinalFanout != 0 || rep.Tables[0].PartitionTime != 0 {
 		t.Fatalf("partitioning should have been skipped")
 	}
 	st := s.Stats()[0]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bandana/internal/alloc"
 	"bandana/internal/cache"
@@ -30,6 +31,9 @@ type TableTrainReport struct {
 	// after partitioning.
 	InitialFanout float64
 	FinalFanout   float64
+	// PartitionTime is how long SHP took on this table. Tables partition
+	// in parallel, so the longest one usually sets Train's duration.
+	PartitionTime time.Duration
 	// CacheVectors is the DRAM allocation chosen for this table.
 	CacheVectors int
 	// Threshold is the prefetch-admission threshold chosen by the
@@ -224,11 +228,12 @@ func (s *Store) trainTable(i int, tr *trace.Trace, opts TrainOptions, report *Tr
 		for qi, q := range tr.Queries {
 			queries[qi] = q
 		}
+		start := time.Now()
 		res, err := shp.Partition(st.numVectors, queries, shp.Options{
 			BlockVectors: blockVectors,
 			Iterations:   opts.SHPIterations,
-			Seed:         s.seed + int64(i),
 		})
+		rep.PartitionTime = time.Since(start)
 		if err != nil {
 			out.err = fmt.Errorf("core: table %q: %w", st.name, err)
 			return out

@@ -34,7 +34,6 @@ func (r *Runner) runAblationSHP() (*Table, error) {
 		res, err := shp.Partition(train.NumVectors, queries, shp.Options{
 			BlockVectors: blockVectors,
 			Iterations:   it,
-			Seed:         r.opts.Seed,
 		})
 		if err != nil {
 			return nil, err

@@ -132,7 +132,6 @@ func (e *env) shpOrder(i, prefixQueries int) ([]uint32, *shp.Result, time.Durati
 	res, err := shp.Partition(tr.NumVectors, queries, shp.Options{
 		BlockVectors: blockVectors,
 		Iterations:   e.opts.SHPIterations,
-		Seed:         e.opts.Seed + int64(i),
 	})
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("SHP on table %d: %w", i+1, err)

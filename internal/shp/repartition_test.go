@@ -21,13 +21,13 @@ func orderIsPermutation(t *testing.T, order []uint32, n int) {
 func TestRepartitionWarmStartKeepsGoodLayout(t *testing.T) {
 	const n, block = 2048, 32
 	queries := communityQueries(n, block, 600, 8, 1)
-	cold, err := Partition(n, queries, Options{BlockVectors: block, Iterations: 12, Seed: 1})
+	cold, err := Partition(n, queries, Options{BlockVectors: block, Iterations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-partitioning the already-good layout against the same queries must
 	// not regress it, even with very few refinement iterations.
-	warm, err := Repartition(cold.Order, queries, Options{BlockVectors: block, Iterations: 2, Seed: 1})
+	warm, err := Repartition(cold.Order, queries, Options{BlockVectors: block, Iterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestRepartitionAdaptsToDriftedQueries(t *testing.T) {
 	oldQueries := communityQueries(n, block, 600, 8, 1)
 	newQueries := communityQueries(n, block, 600, 8, 99) // different community structure
 
-	cold, err := Partition(n, oldQueries, Options{BlockVectors: block, Iterations: 12, Seed: 1})
+	cold, err := Partition(n, oldQueries, Options{BlockVectors: block, Iterations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Repartition(cold.Order, newQueries, Options{BlockVectors: block, Iterations: 12, Seed: 1})
+	warm, err := Repartition(cold.Order, newQueries, Options{BlockVectors: block, Iterations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,18 +9,27 @@
 //
 // The algorithm is recursive balanced bisection: starting from one bucket
 // holding every vector, each bucket is repeatedly split into two equal
-// halves. A split is refined with a configurable number of swap iterations:
-// each iteration computes, for every vertex, the fanout gain of moving it to
-// the other side, and then swaps the highest-gain pairs so the two sides
-// stay balanced. Recursion stops when buckets reach the target block size
-// (32 vectors for 128 B vectors in 4 KB blocks). Sibling buckets are refined
-// in parallel.
+// halves. The initial split is deterministic: a cold start orders vertices
+// by the first query they appear in, a warm start (Repartition) keeps the
+// incoming arrangement. A split is refined with a configurable number of
+// swap iterations: each iteration computes, for every vertex, the fanout
+// gain of moving it to the other side, and then swaps the highest-gain pairs
+// so the two sides stay balanced. Recursion stops when buckets reach the
+// target block size (32 vectors for 128 B vectors in 4 KB blocks).
+//
+// A bucket stores its queries flat — one offsets array plus one slice of
+// bucket-local vertex indices — so a bisection touches no maps and makes a
+// fixed number of allocations however many queries it refines. Only the
+// root maps vector ids to indices; each bisection hands its two children
+// their queries already renumbered. Sibling buckets are disjoint and are
+// refined in parallel, up to Options.Workers at a time; the work inside one
+// bisection is sequential.
 package shp
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -32,8 +41,6 @@ type Options struct {
 	// Iterations is the number of swap-refinement iterations per bisection
 	// level (the paper uses 16).
 	Iterations int
-	// Seed drives the initial random split.
-	Seed int64
 	// Workers bounds the number of buckets refined concurrently. Defaults
 	// to GOMAXPROCS.
 	Workers int
@@ -161,20 +168,21 @@ func averageFanout(order []uint32, queries [][]uint32, blockVectors int) float64
 	if len(queries) == 0 {
 		return 0
 	}
-	pos := make([]uint32, len(order))
+	blockOf := make([]uint32, len(order))
 	for p, id := range order {
-		pos[id] = uint32(p)
+		blockOf[id] = uint32(p) / uint32(blockVectors)
 	}
+	// stamp[b] is 1 + the index of the last query that touched block b, so
+	// nothing needs clearing between queries.
+	stamp := make([]int, (len(order)+blockVectors-1)/blockVectors)
 	var total int64
-	seen := make(map[uint32]struct{}, 64)
-	for _, q := range queries {
-		for k := range seen {
-			delete(seen, k)
-		}
+	for qi, q := range queries {
 		for _, id := range q {
-			seen[pos[id]/uint32(blockVectors)] = struct{}{}
+			if b := blockOf[id]; stamp[b] != qi+1 {
+				stamp[b] = qi + 1
+				total++
+			}
 		}
-		total += int64(len(seen))
 	}
 	return float64(total) / float64(len(queries))
 }
@@ -190,9 +198,20 @@ type partitioner struct {
 // bucket is a contiguous range of the working order slice under refinement.
 type bucket struct {
 	vertices []uint32 // vector IDs in this bucket (mutated in place)
-	queries  [][]uint32
+	queries  hyperedges
 	depth    int
 }
+
+// hyperedges holds a bucket's queries flat, in bucket-local vertex indices
+// (positions in bucket.vertices): query q is idx[off[q]:off[q+1]].
+type hyperedges struct {
+	off []int
+	idx []int32
+}
+
+func (h hyperedges) len() int { return len(h.off) - 1 }
+
+func (h hyperedges) query(q int) []int32 { return h.idx[h.off[q]:h.off[q+1]] }
 
 func (p *partitioner) run() []uint32 {
 	var all []uint32
@@ -225,7 +244,26 @@ func (p *partitioner) run() []uint32 {
 		all = append(touched, untouched...)
 	}
 
-	root := &bucket{vertices: all, queries: p.queries, depth: 0}
+	// The root bucket keeps every query, even those with fewer than two
+	// members: a cold start's first-seen split counts them, a one-member
+	// query adds a zero gain, and projection drops them from the children.
+	localOf := make([]int32, p.n)
+	for i, v := range all {
+		localOf[v] = int32(i)
+	}
+	total := 0
+	for _, q := range p.queries {
+		total += len(q)
+	}
+	rootQueries := hyperedges{off: make([]int, 1, len(p.queries)+1), idx: make([]int32, 0, total)}
+	for _, q := range p.queries {
+		for _, id := range q {
+			rootQueries.idx = append(rootQueries.idx, localOf[id])
+		}
+		rootQueries.off = append(rootQueries.off, len(rootQueries.idx))
+	}
+
+	root := &bucket{vertices: all, queries: rootQueries, depth: 0}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, p.opts.Workers)
 	var maxDepth int
@@ -265,178 +303,233 @@ func (p *partitioner) run() []uint32 {
 
 // bisect splits a bucket's vertices (in place) into two balanced halves with
 // minimised fanout, and returns child buckets that alias the two halves.
+// It consumes b.queries.
 func (p *partitioner) bisect(b *bucket) (*bucket, *bucket) {
 	n := len(b.vertices)
 	half := n / 2
 
-	// Local indexing: vertex -> local position. side[i] is 0 (left) or 1.
-	localOf := make(map[uint32]int32, n)
-	for i, v := range b.vertices {
-		localOf[v] = int32(i)
-	}
-
-	// Initial split. A warm-started run preserves the incoming arrangement
-	// (the first half of the existing order goes left), so the previous
-	// layout's block grouping is the seed at every level and refinement
-	// perturbs it only where the new queries disagree. A cold start orders
-	// vertices by the first query (hyperedge) they appear in, so that
-	// vertices co-accessed by the same queries start on the same side. The
-	// swap refinement below polishes either seed.
+	// Initial split: side[i] is 0 (left) or 1. A warm-started run preserves
+	// the incoming arrangement (the first half of the existing order goes
+	// left), so the previous layout's block grouping is the seed at every
+	// level and refinement perturbs it only where the new queries disagree.
+	// A cold start orders vertices by the first query (hyperedge) they
+	// appear in, so that vertices co-accessed by the same queries start on
+	// the same side. The swap refinement polishes either seed.
 	side := make([]uint8, n)
 	if p.opts.InitialOrder != nil {
 		for i := half; i < n; i++ {
 			side[i] = 1
 		}
 	} else {
-		firstSeen := make([]int32, n)
-		for i := range firstSeen {
-			firstSeen[i] = int32(len(b.queries)) + int32(i%2) // unseen vertices alternate sides
+		firstSeenSplit(side, b.queries, half)
+	}
+
+	queries := b.queries
+	b.queries = hyperedges{}
+	p.refine(side, queries, half)
+
+	// Rearrange the vertices slice in place, side-0 vertices first, and
+	// renumber each vertex to its index within its half. Swaps come in
+	// pairs, so side 0 still holds exactly half of the vertices.
+	newIdx := make([]int32, n)
+	moved := make([]uint32, n)
+	l, r := 0, half
+	for i, v := range b.vertices {
+		if side[i] == 0 {
+			newIdx[i] = int32(l)
+			moved[l] = v
+			l++
+		} else {
+			newIdx[i] = int32(r - half)
+			moved[r] = v
+			r++
 		}
-		for qi, q := range b.queries {
-			for _, id := range q {
-				if li, ok := localOf[id]; ok && firstSeen[li] >= int32(len(b.queries)) {
-					firstSeen[li] = int32(qi)
+	}
+	copy(b.vertices, moved)
+
+	lq, rq := queries.project(side, newIdx)
+	lb := &bucket{vertices: b.vertices[:half], queries: lq, depth: b.depth + 1}
+	rb := &bucket{vertices: b.vertices[half:], queries: rq, depth: b.depth + 1}
+	return lb, rb
+}
+
+// firstSeenSplit fills side with a cold-start split: vertices ranked by the
+// first query they appear in (ties by index; vertices no query names rank
+// last, even indices before odd ones), the lower half on side 0. The
+// ranking is a stable counting sort on the first-seen query index.
+func firstSeenSplit(side []uint8, queries hyperedges, half int) {
+	nq := int32(queries.len())
+	first := make([]int32, len(side))
+	for i := range first {
+		first[i] = nq + int32(i%2)
+	}
+	for q := int32(0); q < nq; q++ {
+		for _, li := range queries.query(int(q)) {
+			if first[li] >= nq {
+				first[li] = q
+			}
+		}
+	}
+	next := make([]int32, nq+2) // next[k]: rank of the next vertex with key k
+	for _, k := range first {
+		next[k]++
+	}
+	var sum int32
+	for k, c := range next {
+		next[k] = sum
+		sum += c
+	}
+	for li, k := range first {
+		if next[k] >= int32(half) {
+			side[li] = 1
+		}
+		next[k]++
+	}
+}
+
+// project splits h between the halves of a bisection: each member goes to
+// its vertex's side, renumbered by newIdx, and a side keeps a query only if
+// at least two of its members landed there. Both outputs are sized exactly.
+func (h hyperedges) project(side []uint8, newIdx []int32) (left, right hyperedges) {
+	var nq, size [2]int
+	for q := 0; q < h.len(); q++ {
+		m := h.query(q)
+		c1 := sideCount(m, side)
+		if c0 := len(m) - c1; c0 >= 2 {
+			nq[0]++
+			size[0] += c0
+		}
+		if c1 >= 2 {
+			nq[1]++
+			size[1] += c1
+		}
+	}
+	var out [2]hyperedges
+	for s := range out {
+		out[s] = hyperedges{off: make([]int, 1, nq[s]+1), idx: make([]int32, 0, size[s])}
+	}
+	for q := 0; q < h.len(); q++ {
+		m := h.query(q)
+		c1 := sideCount(m, side)
+		for s, c := range [2]int{len(m) - c1, c1} {
+			if c < 2 {
+				continue
+			}
+			for _, li := range m {
+				if side[li] == uint8(s) {
+					out[s].idx = append(out[s].idx, newIdx[li])
 				}
 			}
-		}
-		byFirst := make([]int32, n)
-		for i := range byFirst {
-			byFirst[i] = int32(i)
-		}
-		sort.SliceStable(byFirst, func(a, b int) bool { return firstSeen[byFirst[a]] < firstSeen[byFirst[b]] })
-		for rank, li := range byFirst {
-			if rank >= half {
-				side[li] = 1
-			}
+			out[s].off = append(out[s].off, len(out[s].idx))
 		}
 	}
+	return out[0], out[1]
+}
 
-	// Restrict queries to this bucket's vertices (in local indices); drop
-	// queries with fewer than 2 local members, they cannot affect fanout.
-	local := make([][]int32, 0, len(b.queries))
-	for _, q := range b.queries {
-		var lq []int32
-		for _, id := range q {
-			if li, ok := localOf[id]; ok {
-				lq = append(lq, li)
-			}
-		}
-		if len(lq) >= 2 {
-			local = append(local, lq)
-		}
+// sideCount returns how many members of a query are on side 1.
+func sideCount(members []int32, side []uint8) int {
+	c := 0
+	for _, li := range members {
+		c += int(side[li])
 	}
+	return c
+}
 
-	// Refinement uses the Social Hash Partitioner's smoothed move gain: for
-	// a query with cntSame co-located vertices (including v) and cntOther
-	// vertices on the far side, moving v is worth
-	//
-	//	p^(cntSame-1) - p^cntOther        (p = 0.5)
-	//
-	// which reduces to the exact fanout delta when the counts are 0/1 but,
-	// unlike the exact delta, still provides a gradient when queries span
-	// both sides — exactly the situation at the top bisection levels.
+// movePow[k] = moveP^k for the smoothed move gain (see refine).
+var movePow = func() (pow [64]float64) {
 	const moveP = 0.5
-	pow := make([]float64, 64)
 	pow[0] = 1
 	for i := 1; i < len(pow); i++ {
 		pow[i] = pow[i-1] * moveP
 	}
-	powAt := func(k int32) float64 {
-		if int(k) >= len(pow) {
-			return 0
-		}
-		return pow[k]
-	}
+	return pow
+}()
 
+// powAt returns moveP^k, and 0 past the table. A negative k comes from a
+// side with no members, whose term is never used.
+func powAt(k int32) float64 {
+	if k < 0 || int(k) >= len(movePow) {
+		return 0
+	}
+	return movePow[k]
+}
+
+// candidate is a vertex offered for a swap, with its move gain.
+type candidate struct {
+	gain float64
+	idx  int32
+}
+
+// byGainDesc orders candidates by descending gain. Ties keep the order the
+// sort leaves them in, so the layout depends on the sort algorithm as well
+// as on the gains: keep this a slices.SortFunc over candidates in vertex
+// order.
+func byGainDesc(a, b candidate) int {
+	switch {
+	case a.gain > b.gain:
+		return -1
+	case a.gain < b.gain:
+		return 1
+	}
+	return 0
+}
+
+// refine runs the swap iterations on one bisection's split.
+//
+// Refinement uses the Social Hash Partitioner's smoothed move gain: for a
+// query with cntSame co-located vertices (including v) and cntOther vertices
+// on the far side, moving v is worth
+//
+//	p^(cntSame-1) - p^cntOther        (p = 0.5)
+//
+// which reduces to the exact fanout delta when the counts are 0/1 but,
+// unlike the exact delta, still provides a gradient when queries span both
+// sides — exactly the situation at the top bisection levels.
+func (p *partitioner) refine(side []uint8, queries hyperedges, half int) {
+	n := len(side)
 	gain := make([]float64, n)
+	cand0 := make([]candidate, 0, half)
+	cand1 := make([]candidate, 0, n-half)
+	maxSwaps := int(p.opts.MaxSwapFraction * float64(half))
+	if maxSwaps < 1 {
+		maxSwaps = 1
+	}
 	for iter := 0; iter < p.opts.Iterations; iter++ {
-		for i := range gain {
-			gain[i] = 0
-		}
-		// Accumulate per-vertex move gains from each query.
-		for _, q := range local {
-			var cnt0, cnt1 int32
-			for _, li := range q {
-				if side[li] == 0 {
-					cnt0++
-				} else {
-					cnt1++
-				}
-			}
-			for _, li := range q {
-				if side[li] == 0 {
-					gain[li] += powAt(cnt0-1) - powAt(cnt1)
-				} else {
-					gain[li] += powAt(cnt1-1) - powAt(cnt0)
-				}
+		clear(gain)
+		// Accumulate per-vertex move gains query by query; each query's
+		// two terms are computed once.
+		for q := 0; q < queries.len(); q++ {
+			m := queries.query(q)
+			cnt1 := int32(sideCount(m, side))
+			cnt0 := int32(len(m)) - cnt1
+			term := [2]float64{powAt(cnt0-1) - powAt(cnt1), powAt(cnt1-1) - powAt(cnt0)}
+			for _, li := range m {
+				gain[li] += term[side[li]]
 			}
 		}
 		// Candidate lists sorted by descending gain.
-		var cand0, cand1 []int32
-		for i := 0; i < n; i++ {
-			if side[i] == 0 {
-				cand0 = append(cand0, int32(i))
+		cand0, cand1 = cand0[:0], cand1[:0]
+		for i, s := range side {
+			if s == 0 {
+				cand0 = append(cand0, candidate{gain[i], int32(i)})
 			} else {
-				cand1 = append(cand1, int32(i))
+				cand1 = append(cand1, candidate{gain[i], int32(i)})
 			}
 		}
-		sort.Slice(cand0, func(a, b int) bool { return gain[cand0[a]] > gain[cand0[b]] })
-		sort.Slice(cand1, func(a, b int) bool { return gain[cand1[a]] > gain[cand1[b]] })
+		slices.SortFunc(cand0, byGainDesc)
+		slices.SortFunc(cand1, byGainDesc)
 
-		maxSwaps := int(p.opts.MaxSwapFraction * float64(half))
-		if maxSwaps < 1 {
-			maxSwaps = 1
-		}
 		swaps := 0
 		for k := 0; k < len(cand0) && k < len(cand1) && swaps < maxSwaps; k++ {
-			a, bb := cand0[k], cand1[k]
-			if gain[a]+gain[bb] <= 1e-12 {
+			a, b := cand0[k], cand1[k]
+			if a.gain+b.gain <= 1e-12 {
 				break
 			}
-			side[a], side[bb] = 1, 0
+			side[a.idx], side[b.idx] = 1, 0
 			swaps++
 		}
 		if swaps == 0 {
 			break
 		}
 	}
-
-	// Rearrange the vertices slice in place: side-0 vertices first.
-	left := make([]uint32, 0, half)
-	right := make([]uint32, 0, n-half)
-	for i, v := range b.vertices {
-		if side[i] == 0 {
-			left = append(left, v)
-		} else {
-			right = append(right, v)
-		}
-	}
-	copy(b.vertices[:len(left)], left)
-	copy(b.vertices[len(left):], right)
-
-	lb := &bucket{vertices: b.vertices[:len(left)], queries: projectQueries(b.queries, side, localOf, 0), depth: b.depth + 1}
-	rb := &bucket{vertices: b.vertices[len(left):], queries: projectQueries(b.queries, side, localOf, 1), depth: b.depth + 1}
-	return lb, rb
-}
-
-// projectQueries restricts queries to the vertices assigned to the given
-// side, dropping queries that end up with fewer than two members.
-func projectQueries(queries [][]uint32, side []uint8, localOf map[uint32]int32, want uint8) [][]uint32 {
-	out := make([][]uint32, 0, len(queries)/2)
-	for _, q := range queries {
-		var pq []uint32
-		for _, id := range q {
-			li, ok := localOf[id]
-			if !ok {
-				continue
-			}
-			if side[li] == want {
-				pq = append(pq, id)
-			}
-		}
-		if len(pq) >= 2 {
-			out = append(out, pq)
-		}
-	}
-	return out
 }

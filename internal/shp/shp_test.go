@@ -42,7 +42,7 @@ func communityQueries(numVectors, communitySize, numQueries, lookupsPerQuery int
 
 func TestPartitionProducesValidPermutation(t *testing.T) {
 	queries := communityQueries(2048, 32, 500, 8, 1)
-	res, err := Partition(2048, queries, Options{BlockVectors: 32, Iterations: 8, Seed: 1})
+	res, err := Partition(2048, queries, Options{BlockVectors: 32, Iterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPartitionProducesValidPermutation(t *testing.T) {
 
 func TestPartitionReducesFanout(t *testing.T) {
 	queries := communityQueries(4096, 32, 2000, 10, 2)
-	res, err := Partition(4096, queries, Options{BlockVectors: 32, Iterations: 12, Seed: 3})
+	res, err := Partition(4096, queries, Options{BlockVectors: 32, Iterations: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestPartitionReducesFanout(t *testing.T) {
 
 func TestPartitionImprovesWithIterations(t *testing.T) {
 	queries := communityQueries(2048, 32, 1000, 8, 5)
-	none, err := Partition(2048, queries, Options{BlockVectors: 32, Iterations: 1, Seed: 7})
+	none, err := Partition(2048, queries, Options{BlockVectors: 32, Iterations: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Partition(2048, queries, Options{BlockVectors: 32, Iterations: 16, Seed: 7})
+	many, err := Partition(2048, queries, Options{BlockVectors: 32, Iterations: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestPartitionHandlesUntouchedVectors(t *testing.T) {
 		}
 		queries[i] = q
 	}
-	res, err := Partition(1000, queries, Options{BlockVectors: 32, Iterations: 4, Seed: 2})
+	res, err := Partition(1000, queries, Options{BlockVectors: 32, Iterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func TestPartitionSmallTableSingleBlock(t *testing.T) {
 
 func TestPartitionDeterministicInSeed(t *testing.T) {
 	queries := communityQueries(1024, 32, 300, 6, 4)
-	a, _ := Partition(1024, queries, Options{BlockVectors: 32, Iterations: 6, Seed: 11})
-	b, _ := Partition(1024, queries, Options{BlockVectors: 32, Iterations: 6, Seed: 11})
+	a, _ := Partition(1024, queries, Options{BlockVectors: 32, Iterations: 6})
+	b, _ := Partition(1024, queries, Options{BlockVectors: 32, Iterations: 6})
 	for i := range a.Order {
 		if a.Order[i] != b.Order[i] {
 			t.Fatalf("order differs at %d", i)
@@ -171,7 +171,7 @@ func TestPartitionOnGeneratedTrace(t *testing.T) {
 	for i, q := range tr.Queries {
 		queries[i] = q
 	}
-	res, err := Partition(p.NumVectors, queries, Options{BlockVectors: 32, Iterations: 10, Seed: 5})
+	res, err := Partition(p.NumVectors, queries, Options{BlockVectors: 32, Iterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +191,20 @@ func BenchmarkPartition8k(b *testing.B) {
 	queries := communityQueries(8192, 32, 2000, 10, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Partition(8192, queries, Options{BlockVectors: 32, Iterations: 8, Seed: 1})
+		Partition(8192, queries, Options{BlockVectors: 32, Iterations: 8})
+	}
+}
+
+// BenchmarkPartitionSynth partitions the heaviest table of the server's
+// default synthetic workload (scale 0.005, seed 1, 8000 requests) at
+// Train's settings.
+func BenchmarkPartitionSynth(b *testing.B) {
+	ns, qs := synthQueries(0.005, 1, 8000)
+	const heaviest = 1 // table2 has the most lookups per query and partitions slowest
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Partition(ns[heaviest], qs[heaviest], Options{BlockVectors: 32, Iterations: 16}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

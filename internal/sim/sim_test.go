@@ -34,7 +34,7 @@ func shpLayout(t *testing.T, tr *trace.Trace) *layout.Layout {
 	for i, q := range tr.Queries {
 		queries[i] = q
 	}
-	res, err := shp.Partition(tr.NumVectors, queries, shp.Options{BlockVectors: 32, Iterations: 8, Seed: 1})
+	res, err := shp.Partition(tr.NumVectors, queries, shp.Options{BlockVectors: 32, Iterations: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
