@@ -23,7 +23,12 @@
 //	// Optional: train placement + caching from a historical trace.
 //	store.Train(traces, bandana.TrainOptions{})
 //
-//	vec, _ := store.Lookup(0, 12345)              // one embedding vector
+//	vec, _ := store.Lookup(0, 12345)              // one embedding vector (caller-owned)
+//
+//	// Zero-copy fp16 views for a wire server: valid until release.
+//	raws, release, _ := store.LookupBatchRawLeased(0, []uint32{1, 2, 3})
+//	send(raws)
+//	release()
 //
 // # Concurrency model
 //
@@ -38,9 +43,11 @@
 //   - Serving counters are striped across cache lines and aggregated on
 //     Stats; NVM block reads are issued outside all locks so misses overlap
 //     at the device.
-//   - Returned vectors are read-only views shared with the cache. They
-//     remain valid until the vector is overwritten by UpdateVector, but
-//     callers must copy a vector before modifying it.
+//   - The DRAM cache keeps fp16 payloads in pointer-free slab arenas.
+//     Float results (Lookup, LookupBatch, ServeRequest) are decoded copies
+//     owned by the caller. Raw views from LookupBatchRawLeased point into
+//     the arenas and are valid until the returned release is called;
+//     LookupBatchRaw returns caller-owned copies instead.
 //   - UpdateVector is safe to call concurrently with lookups; updates to
 //     the same table serialize with each other (read-modify-write of the
 //     shared 4 KB block).
@@ -124,7 +131,7 @@ const (
 )
 
 // Open creates a Store from a Config: it sizes the NVM device, writes every
-// table to it and starts serving lookups with per-table LRU caches (no
+// table to it and starts serving lookups with per-table DRAM caches (no
 // prefetching until Train is called). With Config.Backend == BackendFile the
 // blocks live in a durable journaled file under Config.DataDir and reopening
 // the directory restores tables and trained state without retraining.
@@ -137,18 +144,6 @@ const (
 	// BackendFile stores blocks in a durable journaled file under
 	// Config.DataDir.
 	BackendFile = core.BackendFile
-)
-
-// Cache engine selection for Config.CacheEngine. Both engines implement
-// identical caching semantics (hit ratios and eviction sequences do not
-// change with this switch); they differ in memory representation.
-const (
-	// CacheEngineLRU is the classic per-entry heap representation with
-	// stable zero-alloc float views.
-	CacheEngineLRU = core.CacheEngineLRU
-	// CacheEngineArena (the default) stores fp16 payloads in pointer-free
-	// slab arenas: ~2.5x less heap per cached vector and no GC scan cost.
-	CacheEngineArena = core.CacheEngineArena
 )
 
 // SyncMode selects the file backend's durability mode (Config.Sync).

@@ -67,9 +67,9 @@ const (
 	cacheSweepGCs   = 4 // forced GC cycles per pause measurement
 )
 
-// benchVec mirrors the lru engine's per-entry heap value (core.cachedVec):
-// a decoded float32 vector plus raw/prefetched bookkeeping. Only vec is
-// populated, exactly like a float-path cache fill.
+// benchVec is the per-entry heap value of the store's former lru cache
+// representation: a decoded float32 vector plus raw/prefetched bookkeeping.
+// Only vec is populated, exactly like its float-path cache fill.
 type benchVec struct {
 	vec        []float32
 	raw        []byte

@@ -292,37 +292,41 @@ func TestAdaptationResizeKeepsWorkingSet(t *testing.T) {
 }
 
 // TestLookupHitZeroAllocWithRecorder pins the serving-path cost of
-// recording: a cache-hit Lookup must stay allocation-free while the
-// adaptation recorder is installed (Record1 keeps the one-ID buffer on the
-// stack). Pinned on the LRU engine, whose float hits return a shared slice;
-// the arena engine decodes a fresh vector per float hit by design (its
-// zero-alloc contract covers the raw path and is pinned in internal/vcache's
-// TestHitPathZeroAlloc).
+// recording on the path the wire protocol serves: a LookupBatchRawLeased
+// cache hit of 1 or 8 ids allocates exactly once (its output slice), and
+// installing the adaptation recorder adds zero allocations to it.
 func TestLookupHitZeroAllocWithRecorder(t *testing.T) {
 	tables, _ := buildTestTables(t, 1, 1024, 10)
-	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 1, CacheEngine: CacheEngineLRU})
+	s, err := Open(Config{Tables: tables, DRAMBudgetVectors: 256, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// A small recorder ring so the warmup below touches every slot: each
-	// ring slot heap-allocates its reusable ID buffer on FIRST use (bounded
-	// by ring capacity, amortized to zero); steady state must be
-	// allocation-free.
+	batches := [][]uint32{{7}, {7, 8, 9, 10, 11, 12, 13, 14}}
+	serve := func(ids []uint32) {
+		_, release, err := s.LookupBatchRawLeased(0, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	}
+	measure := func(phase string) {
+		for _, ids := range batches {
+			// Warm the cache and, with recording on, every ring slot: each
+			// slot heap-allocates its reusable ID buffer on FIRST use
+			// (bounded by ring capacity, amortized to zero).
+			for i := 0; i < 200; i++ {
+				serve(ids)
+			}
+			if allocs := testing.AllocsPerRun(1000, func() { serve(ids) }); allocs != 1 {
+				t.Errorf("%s: leased hit of %d ids allocates %.1f times per op, want 1 (the output slice)", phase, len(ids), allocs)
+			}
+		}
+	}
+	measure("recorder off")
+	// A small recorder ring so the warmup touches every slot.
 	if err := s.StartAdaptation(AdaptOptions{MinQueries: 16, RecorderQueries: 64, RecorderStripes: 4}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ { // warm the cache and every ring slot
-		if _, err := s.Lookup(0, 7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := s.Lookup(0, 7); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("cache-hit lookup allocates %.1f times per op with recording on, want 0", allocs)
-	}
+	measure("recorder on")
 }

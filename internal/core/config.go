@@ -76,13 +76,6 @@ type Config struct {
 	// less lock contention at a small cost in LRU fidelity. Defaults to
 	// DefaultCacheShards (derived from GOMAXPROCS).
 	CacheShards int
-	// CacheEngine selects the DRAM cache representation: CacheEngineArena
-	// (the default; pointer-free fp16 slab arenas, ~2.5x less heap per
-	// cached vector and no GC scan cost) or CacheEngineLRU (the classic
-	// per-entry heap representation with stable zero-alloc float views).
-	// Both engines implement identical caching semantics — hit ratios and
-	// eviction sequences do not change with this switch.
-	CacheEngine string
 	// ReadOnly opens the store in read-only mode: every mutator of the
 	// servable image (UpdateVector, Train, LoadState, Persist, the
 	// adaptation engine) fails with ErrReadOnly, while serving and cache

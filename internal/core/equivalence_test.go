@@ -8,138 +8,190 @@ import (
 	"bandana/internal/fp16"
 )
 
-// TestCacheEngineEquivalence drives two identically configured stores — one
-// per cache engine — through the same trained workload and asserts they are
-// observationally identical: every lookup returns bitwise-equal vectors, raw
-// lookups return decode-identical bytes, and the serving counters (hits,
-// misses, block reads, prefetch accounting) match exactly. This is the
-// contract that makes Config.CacheEngine a pure representation switch.
-func TestCacheEngineEquivalence(t *testing.T) {
+// TestLookupEntryPointsEquivalent drives identically configured, trained
+// stores — one per public lookup entry point — through the same query
+// stream, with vector updates interleaved (update log on, so some reads are
+// served from the delta overlay), and asserts that every entry point serves
+// bitwise-equal vectors. Entry points that issue the same cache operations
+// must also agree on every serving counter: per-id Lookup against a
+// LookupBatch of one, and LookupBatch against LookupBatchRaw and
+// LookupBatchRawLeased (a whole batch dedupes repeated ids and groups its
+// misses by block, so its counters legitimately differ from per-id serving).
+func TestLookupEntryPointsEquivalent(t *testing.T) {
 	const (
 		numTables = 2
 		vectors   = 2048
-		queries   = 400
+		queries   = 600
 	)
-	open := func(engine string) (*Store, [][]uint32) {
-		// buildTestTables is deterministic (fixed seeds), so both stores get
-		// identical tables and training traces, hence identical layouts,
-		// thresholds and admission policies after Train.
+	decodeAll := func(raws [][]byte) [][]float32 {
+		out := make([][]float32, len(raws))
+		for i, r := range raws {
+			out[i] = decodeRaw(t, r)
+		}
+		return out
+	}
+	entries := []struct {
+		name  string
+		group int // entry points in one group must agree on every counter
+		serve func(s *Store, ti int, ids []uint32) ([][]float32, error)
+	}{
+		{"Lookup", 0, func(s *Store, ti int, ids []uint32) ([][]float32, error) {
+			out := make([][]float32, len(ids))
+			for i, id := range ids {
+				v, err := s.Lookup(ti, id)
+				if err != nil {
+					return nil, err
+				}
+				out[i] = v
+			}
+			return out, nil
+		}},
+		{"LookupBatch of one", 0, func(s *Store, ti int, ids []uint32) ([][]float32, error) {
+			out := make([][]float32, len(ids))
+			for i, id := range ids {
+				v, err := s.LookupBatch(ti, []uint32{id})
+				if err != nil {
+					return nil, err
+				}
+				out[i] = v[0]
+			}
+			return out, nil
+		}},
+		{"LookupBatch", 1, func(s *Store, ti int, ids []uint32) ([][]float32, error) {
+			return s.LookupBatch(ti, ids)
+		}},
+		{"LookupBatchRaw", 1, func(s *Store, ti int, ids []uint32) ([][]float32, error) {
+			raws, err := s.LookupBatchRaw(ti, ids)
+			if err != nil {
+				return nil, err
+			}
+			return decodeAll(raws), nil
+		}},
+		{"LookupBatchRawLeased", 1, func(s *Store, ti int, ids []uint32) ([][]float32, error) {
+			raws, release, err := s.LookupBatchRawLeased(ti, ids)
+			if err != nil {
+				return nil, err
+			}
+			defer release()
+			return decodeAll(raws), nil
+		}},
+	}
+
+	// buildTestTables is deterministic (fixed seeds), so every store gets
+	// identical tables and training traces, hence identical layouts,
+	// thresholds and admission policies after Train.
+	stores := make([]*Store, len(entries))
+	for i := range stores {
 		tables, traces := buildTestTables(t, numTables, vectors, 400)
-		s, err := Open(Config{
+		s, err := Open(testBackendConfig(t, Config{
 			Tables:            tables,
 			DRAMBudgetVectors: 256,
 			Seed:              7,
 			CacheShards:       4,
-			CacheEngine:       engine,
-		})
+			UpdateLog:         UpdateLogOptions{Enabled: true},
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer s.Close()
 		if _, err := s.Train(traces, TrainOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		// A deterministic serving stream, shared by both stores.
-		serveRng := rand.New(rand.NewSource(99))
-		serve := make([][]uint32, queries)
-		for i := range serve {
-			n := 1 + serveRng.Intn(8)
-			ids := make([]uint32, n)
-			for j := range ids {
-				ids[j] = uint32(serveRng.Intn(vectors) % (1 + serveRng.Intn(vectors)))
-			}
-			serve[i] = ids
-		}
-		return s, serve
+		stores[i] = s
 	}
 
-	lruStore, stream := open(CacheEngineLRU)
-	defer lruStore.Close()
-	arenaStore, _ := open(CacheEngineArena)
-	defer arenaStore.Close()
-
-	for qi, ids := range stream {
+	// A deterministic serving stream (repeated ids included) with an update
+	// of one of the query's ids before every fifth query.
+	rng := rand.New(rand.NewSource(99))
+	updated := make(map[[2]uint32][]float32) // {table, id} -> expected value
+	for qi := 0; qi < queries; qi++ {
 		ti := qi % numTables
-		switch qi % 3 {
-		case 0: // single lookups
-			for _, id := range ids {
-				a, err := lruStore.Lookup(ti, id)
-				if err != nil {
+		ids := make([]uint32, 1+rng.Intn(8))
+		for j := range ids {
+			ids[j] = uint32(rng.Intn(vectors) % (1 + rng.Intn(vectors)))
+		}
+		if qi%5 == 0 {
+			vec := testVec(64, uint32(qi))
+			for _, s := range stores {
+				if err := s.UpdateVector(ti, ids[0], vec); err != nil {
 					t.Fatal(err)
 				}
-				b, err := arenaStore.Lookup(ti, id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := equalVecs(a, b); err != nil {
-					t.Fatalf("query %d id %d: %v", qi, id, err)
-				}
 			}
-		case 1: // float batch
-			a, err := lruStore.LookupBatch(ti, ids)
+			updated[[2]uint32{uint32(ti), ids[0]}] = decodeRaw(t, fp16.EncodeSlice(nil, vec))
+		}
+		var ref [][]float32
+		for ei, e := range entries {
+			got, err := e.serve(stores[ei], ti, ids)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", e.name, err)
 			}
-			b, err := arenaStore.LookupBatch(ti, ids)
-			if err != nil {
-				t.Fatal(err)
+			if ei == 0 {
+				ref = got
+				continue
 			}
-			for i := range a {
-				if err := equalVecs(a[i], b[i]); err != nil {
-					t.Fatalf("query %d pos %d: %v", qi, i, err)
+			for i := range ids {
+				if err := equalVecs(ref[i], got[i]); err != nil {
+					t.Fatalf("query %d pos %d id %d: %s vs Lookup: %v", qi, i, ids[i], e.name, err)
 				}
 			}
-		case 2: // raw batch: decode-identical bytes
-			a, err := lruStore.LookupBatchRaw(ti, ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := arenaStore.LookupBatchRaw(ti, ids)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range a {
-				av := decodeRaw(t, a[i])
-				bv := decodeRaw(t, b[i])
-				if err := equalVecs(av, bv); err != nil {
-					t.Fatalf("query %d pos %d (raw): %v", qi, i, err)
+		}
+		for i, id := range ids {
+			if want, ok := updated[[2]uint32{uint32(ti), id}]; ok {
+				if err := equalVecs(want, ref[i]); err != nil {
+					t.Fatalf("query %d id %d: served value is not the latest update: %v", qi, id, err)
 				}
 			}
 		}
 	}
 
-	as, bs := lruStore.Stats(), arenaStore.Stats()
-	for i := range as {
-		a, b := as[i], bs[i]
-		if a.Lookups != b.Lookups || a.Hits != b.Hits || a.Misses != b.Misses ||
-			a.BlockReads != b.BlockReads || a.PrefetchAdds != b.PrefetchAdds ||
-			a.PrefetchHits != b.PrefetchHits || a.CacheUsed != b.CacheUsed {
-			t.Fatalf("table %d counters diverge:\n lru:   %+v\n arena: %+v", i, summarize(a), summarize(b))
+	checkCounters := func(phase string) {
+		t.Helper()
+		stats := make([][]TableStats, len(stores))
+		for i, s := range stores {
+			stats[i] = s.Stats()
 		}
-		if a.CacheEngine != CacheEngineLRU || b.CacheEngine != CacheEngineArena {
-			t.Fatalf("engines misreported: %q / %q", a.CacheEngine, b.CacheEngine)
+		leader := make(map[int]int) // group -> its first entry point
+		for ei, e := range entries {
+			l, ok := leader[e.group]
+			if !ok {
+				leader[e.group] = ei
+				continue
+			}
+			for ti := range stats[ei] {
+				a, b := stats[l][ti], stats[ei][ti]
+				if a.Lookups != b.Lookups || a.Hits != b.Hits || a.DeltaHits != b.DeltaHits ||
+					a.Misses != b.Misses || a.BlockReads != b.BlockReads ||
+					a.CoalescedReads != b.CoalescedReads || a.PrefetchAdds != b.PrefetchAdds ||
+					a.PrefetchHits != b.PrefetchHits || a.CacheUsed != b.CacheUsed ||
+					a.OverlayEntries != b.OverlayEntries {
+					t.Fatalf("%s: table %d counters diverge:\n %s: %s\n %s: %s", phase, ti,
+						entries[l].name, summarize(a), e.name, summarize(b))
+				}
+			}
 		}
-		if b.CacheUsed > 0 {
-			if b.CacheBytesResident <= 0 || b.CacheArenaBytes < b.CacheBytesResident || b.CacheSlabs == 0 {
-				t.Fatalf("arena byte accounting inconsistent: %+v", summarize(b))
+		for ei := range stats {
+			for _, st := range stats[ei] {
+				if st.DeltaHits == 0 {
+					t.Fatalf("%s: %s table %s served no delta-overlay hits", phase, entries[ei].name, st.Name)
+				}
+				if st.CacheUsed > 0 && (st.CacheBytesResident <= 0 ||
+					st.CacheArenaBytes < st.CacheBytesResident || st.CacheSlabs == 0) {
+					t.Fatalf("%s: %s: arena byte accounting inconsistent: %s", phase, entries[ei].name, summarize(st))
+				}
 			}
 		}
 	}
+	checkCounters("serve")
 
-	// Live resize equivalence: shrink and regrow both stores identically and
-	// confirm contents still agree.
-	for _, s := range []*Store{lruStore, arenaStore} {
+	// Live resize: shrink and regrow every store identically; the resident
+	// sets must still agree.
+	for _, s := range stores {
 		for ti := 0; ti < numTables; ti++ {
 			s.tables[ti].resizeCacheLive(32)
 			s.tables[ti].resizeCacheLive(128)
 		}
 	}
-	if lru, arena := lruStore.Stats(), arenaStore.Stats(); true {
-		for i := range lru {
-			if lru[i].CacheUsed != arena[i].CacheUsed {
-				t.Fatalf("table %d: post-resize CacheUsed %d vs %d", i, lru[i].CacheUsed, arena[i].CacheUsed)
-			}
-		}
-	}
+	checkCounters("resize")
 }
 
 func equalVecs(a, b []float32) error {
@@ -165,6 +217,6 @@ func decodeRaw(t *testing.T, raw []byte) []float32 {
 }
 
 func summarize(s TableStats) string {
-	return fmt.Sprintf("lookups=%d hits=%d misses=%d blockReads=%d prefetchAdds=%d prefetchHits=%d cacheUsed=%d bytesResident=%d arenaBytes=%d slabs=%d",
-		s.Lookups, s.Hits, s.Misses, s.BlockReads, s.PrefetchAdds, s.PrefetchHits, s.CacheUsed, s.CacheBytesResident, s.CacheArenaBytes, s.CacheSlabs)
+	return fmt.Sprintf("lookups=%d hits=%d deltaHits=%d misses=%d coalesced=%d blockReads=%d prefetchAdds=%d prefetchHits=%d cacheUsed=%d bytesResident=%d arenaBytes=%d slabs=%d",
+		s.Lookups, s.Hits, s.DeltaHits, s.Misses, s.CoalescedReads, s.BlockReads, s.PrefetchAdds, s.PrefetchHits, s.CacheUsed, s.CacheBytesResident, s.CacheArenaBytes, s.CacheSlabs)
 }

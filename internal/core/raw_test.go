@@ -54,8 +54,7 @@ func TestLookupBatchRawMatchesFloatPath(t *testing.T) {
 	// Warm: the same ids now hit cache entries that already carry raw views.
 	rawEquiv(t, s, 0, ids)
 
-	// Entries cached by the float path first: the raw view is built lazily
-	// on the first raw hit.
+	// Entries cached by the float path first serve raw hits too.
 	warm := []uint32{100, 101, 102}
 	if _, err := s.LookupBatch(0, warm); err != nil {
 		t.Fatal(err)
@@ -91,7 +90,7 @@ func TestLookupBatchRawCountsAndCacheSharing(t *testing.T) {
 	if _, err := s.LookupBatchRaw(0, []uint32{9999}); err == nil {
 		t.Fatal("out-of-range id should error")
 	}
-	if _, err := s.LookupBatchRawByName("no-such-table", ids); err == nil {
+	if _, err := s.LookupBatchRaw(1, ids); err == nil {
 		t.Fatal("unknown table should error")
 	}
 }

@@ -28,17 +28,13 @@ type TableStats struct {
 	CacheVectors   int
 	CacheUsed      int
 	CacheShards    int
-	// CacheEngine names the cache representation serving this table (see
-	// Config.CacheEngine); the fields below are its byte accounting. The
-	// arena engine reports exact resident fp16 payload bytes, allocated slab
-	// bytes and their ratio; the LRU engine reports decoded payload bytes
-	// with no arenas (ArenaBytes and Slabs stay 0).
-	CacheEngine           string
+	// Byte accounting of the table's cache: exact resident fp16 payload
+	// bytes, allocated slab-arena bytes, their ratio and the slab count.
 	CacheBytesResident    int64
 	CacheArenaBytes       int64
 	CacheArenaUtilization float64
 	CacheSlabs            int
-	// CacheReclaimBytes is the arena engine's slot-reclamation bookkeeping:
+	// CacheReclaimBytes is the cache's slot-reclamation bookkeeping:
 	// the backing arrays of its free list and lease-grace limbo queue.
 	CacheReclaimBytes int64
 	Threshold         uint32
@@ -58,8 +54,9 @@ type TableStats struct {
 	// DRAM cache/overlay probe, timed on a sampled subset of lookups (~1/64,
 	// always under a slow-request trace). QueueWaitLatency is time miss
 	// reads spent queued in the I/O scheduler before dispatch (empty with
-	// the scheduler off). DecodeLatency is requested-vector fp16 decode
-	// time (prefetch admission decodes excluded).
+	// the scheduler off). DecodeLatency is the fp16 decode of float
+	// results, one observation per Lookup/LookupBatch/ServeRequest table
+	// batch; raw lookups (the bwp path) never decode.
 	ProbeLatency     metrics.Snapshot
 	QueueWaitLatency metrics.Snapshot
 	DecodeLatency    metrics.Snapshot
@@ -90,13 +87,12 @@ func (s *Store) Stats() []TableStats {
 			QueueWaitLatency: st.queueWaitLatency.Snapshot(),
 			DecodeLatency:    st.decodeLatency.Snapshot(),
 		}
-		es := state.cache.EngineStats()
-		ts.CacheEngine = es.Engine
-		ts.CacheBytesResident = es.BytesResident
-		ts.CacheArenaBytes = es.ArenaBytes
-		ts.CacheArenaUtilization = es.ArenaUtilization
-		ts.CacheSlabs = es.Slabs
-		ts.CacheReclaimBytes = es.ReclaimBytes
+		cs := state.cache.Stats()
+		ts.CacheBytesResident = cs.BytesResident
+		ts.CacheArenaBytes = cs.ArenaBytes
+		ts.CacheArenaUtilization = cs.Utilization
+		ts.CacheSlabs = cs.Slabs
+		ts.CacheReclaimBytes = cs.ReclaimBytes
 		if st.overlay != nil {
 			ts.OverlayEntries = st.overlay.size()
 		}

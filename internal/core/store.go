@@ -9,11 +9,11 @@ import (
 	"bandana/internal/fp16"
 	"bandana/internal/iosched"
 	"bandana/internal/layout"
-	"bandana/internal/lru"
 	"bandana/internal/metrics"
 	"bandana/internal/nvm"
 	"bandana/internal/table"
 	"bandana/internal/trace"
+	"bandana/internal/vcache"
 )
 
 // Store is a Bandana embedding store: NVM-resident tables with DRAM caches.
@@ -23,8 +23,8 @@ import (
 // by vector-ID hash with per-shard locks, the trained state is published
 // through an atomic pointer (reads take no lock at all), serving counters
 // are striped across cache lines, and NVM block reads happen outside any
-// lock. Returned vectors are read-only views shared with the cache; callers
-// that need to modify one must copy it first.
+// lock. Float results are decoded copies owned by the caller; raw views from
+// LookupBatchRawLeased are read-only and valid until their lease is released.
 type Store struct {
 	device     *nvm.Device
 	ownsDevice bool
@@ -82,26 +82,6 @@ func (s *Store) RecoveredMigration() bool { return s.recoveredMigration }
 func getBlockBuf() *[]byte  { return nvm.GetBlockBuf() }
 func putBlockBuf(b *[]byte) { nvm.PutBlockBuf(b) }
 
-// cachedVec is one cache entry: the decoded vector plus whether it entered
-// the cache via prefetch and has not been requested yet (used to attribute
-// hits to prefetching). The flag is mutated in place under the owning
-// shard's lock; the vector itself is immutable once cached.
-//
-// raw is the vector's fp16 encoding, served zero-decode by the binary wire
-// protocol's read path. It is filled from the block image when a raw lookup
-// misses, or built lazily (one re-encode, under the shard lock) when a raw
-// lookup hits an entry cached by the float path; entries never served raw
-// pay nothing. Once set it is immutable, like vec.
-type cachedVec struct {
-	vec        []float32
-	raw        []byte
-	prefetched bool
-}
-
-// vecCache is the per-table DRAM cache: vector ID -> decoded vector,
-// sharded for concurrent access.
-type vecCache = lru.Sharded[uint32, *cachedVec]
-
 // hashID mixes a vector ID into a well-distributed 64-bit hash
 // (splitmix-style finalizer). The same hash routes a lookup to its cache
 // shard and to its counter stripe.
@@ -114,8 +94,15 @@ func hashID(id uint32) uint64 {
 	return x ^ (x >> 31)
 }
 
-func newVecCache(capacity, shards int) *vecCache {
-	return lru.NewSharded[uint32, *cachedVec](capacity, shards, hashID)
+// newTableCache builds a table's DRAM cache: fp16 payloads in pointer-free
+// slab arenas, with slots sized for the table's vectors.
+func newTableCache(capacity, shards, dim int) *vcache.Cache {
+	return vcache.New(vcache.Options{
+		Capacity:  capacity,
+		SlotBytes: dim * fp16.ByteSize,
+		Shards:    shards,
+		Hash:      hashID,
+	})
 }
 
 // counterStripes is the stripe count for the per-table serving counters.
@@ -138,7 +125,7 @@ type tableState struct {
 	threshold uint32   // prefetch admission threshold (counts must exceed it)
 	prefetch  bool     // whether prefetching is enabled (set by Train)
 	policy    cache.AdmissionPolicy
-	cache     tableCache
+	cache     *vcache.Cache
 	cacheCap  int
 }
 
@@ -156,7 +143,6 @@ type storeTable struct {
 	blockBase    int // first device block of this table
 	numBlocks    int
 	shards       int
-	engine       string // canonical cache engine name (see cacheengine.go)
 
 	// state is the published trained state; the serving path loads it once
 	// per operation. stateMu serializes mutators (Train, LoadState,
@@ -207,7 +193,7 @@ type storeTable struct {
 	// historical "lookup latency"); the histograms below decompose the rest
 	// of a lookup's time. probeLatency is sampled (see probeSampleMask),
 	// queueWaitLatency is only fed when the I/O scheduler is on, and
-	// decodeLatency covers requested-vector fp16 decodes.
+	// decodeLatency covers the fp16 decode of float results.
 	lookupLatency    *metrics.Histogram
 	probeLatency     *metrics.Histogram
 	queueWaitLatency *metrics.Histogram
@@ -358,10 +344,6 @@ func buildStore(cfg Config, geoms []tableGeom, device *nvm.Device, owns bool, sp
 	if shards <= 0 {
 		shards = DefaultCacheShards()
 	}
-	engine, err := normalizeCacheEngine(cfg.CacheEngine)
-	if err != nil {
-		return nil, err
-	}
 
 	s := &Store{
 		device:     device,
@@ -413,7 +395,6 @@ func buildStore(cfg Config, geoms []tableGeom, device *nvm.Device, owns bool, sp
 			blockBase:        spans[i].base,
 			numBlocks:        spans[i].blocks,
 			shards:           shards,
-			engine:           engine,
 			lookups:          metrics.NewStripedCounter(counterStripes),
 			hits:             metrics.NewStripedCounter(counterStripes),
 			deltaHits:        metrics.NewStripedCounter(counterStripes),
@@ -431,7 +412,7 @@ func buildStore(cfg Config, geoms []tableGeom, device *nvm.Device, owns bool, sp
 		st.state.Store(&tableState{
 			layout:   layout.Identity(g.numVectors, spans[i].blockVectors),
 			cacheCap: perTable,
-			cache:    newTableCache(engine, perTable, shards, g.dim),
+			cache:    newTableCache(perTable, shards, g.dim),
 		})
 		if s.deltaLog != nil {
 			st.overlay = newDeltaOverlay()
@@ -540,7 +521,7 @@ func (st *storeTable) resizeCache(capacity int) {
 	}
 	st.mutateState(func(ts *tableState) {
 		ts.cacheCap = capacity
-		ts.cache = newTableCache(st.engine, capacity, st.shards, st.dim)
+		ts.cache = newTableCache(capacity, st.shards, st.dim)
 	})
 }
 

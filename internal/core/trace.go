@@ -20,8 +20,8 @@ type StageTrace struct {
 	// ServiceUS is simulated device time of the request's miss reads (the
 	// slowest batch member per dispatch, summed over dispatches).
 	ServiceUS float64
-	// DecodeUS is time spent fp16-decoding requested vectors (prefetch
-	// admission decodes are not included).
+	// DecodeUS is time spent fp16-decoding the float results handed to the
+	// caller; raw lookups (the bwp path) never decode.
 	DecodeUS float64
 	// Lookups/Hits/Misses count the vectors this operation served and how
 	// they were classified; BlockReads counts device blocks it read.
@@ -51,54 +51,34 @@ func usSince(start time.Time) float64 {
 }
 
 // LookupTraced is Lookup with a per-stage latency breakdown accumulated into
-// tr (which must be non-nil).
+// tr (nil for none).
 func (s *Store) LookupTraced(tableIdx int, id uint32, tr *StageTrace) ([]float32, error) {
-	st, err := s.tableAt(tableIdx)
+	out, err := s.LookupBatchTraced(tableIdx, []uint32{id}, tr)
 	if err != nil {
 		return nil, err
 	}
-	return st.lookup(s.device, id, tr)
+	return out[0], nil
 }
 
 // LookupBatchTraced is LookupBatch with a per-stage latency breakdown
-// accumulated into tr (which must be non-nil).
+// accumulated into tr (nil for none). It serves the batch as leased fp16
+// views and decodes them before releasing the lease.
 func (s *Store) LookupBatchTraced(tableIdx int, ids []uint32, tr *StageTrace) ([][]float32, error) {
 	st, err := s.tableAt(tableIdx)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]float32, len(ids))
-	if err := st.serveBatch(s.device, ids, out, nil, tr, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// LookupBatchRawTraced is LookupBatchRaw with a per-stage latency breakdown
-// accumulated into tr (which must be non-nil). Like LookupBatchRaw, the
-// returned slices are caller-owned copies under the arena engine.
-func (s *Store) LookupBatchRawTraced(tableIdx int, ids []uint32, tr *StageTrace) ([][]byte, error) {
-	st, err := s.tableAt(tableIdx)
+	raws := make([][]byte, len(ids))
+	release, err := st.serveBatch(s.device, ids, raws, tr)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(ids))
-	var release func()
-	if err := st.serveBatch(s.device, ids, nil, out, tr, &release); err != nil {
-		if release != nil {
-			release()
-		}
-		return nil, err
-	}
-	if !st.loadState().cache.StableViews() {
-		copyRawViews(out)
-	}
-	release()
-	return out, nil
+	defer release()
+	return st.decodeViews(ids, raws, tr), nil
 }
 
 // ServeRequestTraced is ServeRequest with a per-stage latency breakdown
-// accumulated into tr (which must be non-nil) across all tables.
+// accumulated into tr (nil for none) across all tables.
 func (s *Store) ServeRequestTraced(req Request, tr *StageTrace) ([][][]float32, error) {
 	if len(req) > len(s.tables) {
 		return nil, fmt.Errorf("core: request has %d tables, store has %d", len(req), len(s.tables))

@@ -1,10 +1,10 @@
 // Package vcache implements a pointer-free, arena-backed vector cache: the
 // DRAM tier of the store with zero heap objects per cached entry.
 //
-// The classic LRU engine (internal/lru with *cachedVec values) costs ~100+
-// bytes of pointer-bearing overhead per 128-byte fp16 vector — a map entry,
-// a heap-allocated list node, a value struct and two slice headers — and
-// every GC cycle scans all of it. At tens of millions of cached vectors that
+// A per-entry heap representation (internal/lru with one pointer value per
+// vector) costs ~100+ bytes of pointer-bearing overhead per 128-byte fp16
+// vector — a map entry, a heap-allocated list node, a value struct and two
+// slice headers — and every GC cycle scans all of it. At tens of millions of cached vectors that
 // scan time dominates GC pauses and steals CPU from the ~120 ns hit path.
 //
 // vcache stores the fp16 payloads themselves in large slab arenas (one slot
@@ -18,13 +18,13 @@
 // Semantics mirror internal/lru exactly — the same sharding (hash-routed,
 // power-of-two shard count, exact capacity split), the same per-shard
 // segmented LRU with positional insertion (AddAt) and rebalancing cascade,
-// the same eviction order — so the two engines produce identical
-// hit/miss/eviction sequences for identical operation streams. The
-// equivalence suite in internal/core pins this.
+// the same eviction order — so the two produce identical hit/miss/eviction
+// sequences for identical operation streams. TestEquivalenceRandomized pins
+// this with lru.Sharded as the oracle.
 //
 // # View lifetime and leases
 //
-// Get/GetRaw return read-only views directly into the arenas (the zero-copy
+// Get returns read-only views directly into the arenas (the zero-copy
 // raw/bwp serving path). A slot freed by eviction is eventually reused, so a
 // view must not outlive its request. Readers bracket a request with
 // release := c.Lease(); ... release(), and reclamation is epoch-based: an
@@ -35,10 +35,6 @@
 // never overwritten in place: replacing a live entry's value relocates it to
 // a fresh slot and parks the old one, so a leased view is immutable for the
 // lease's lifetime.
-//
-// Decode-on-hit paths that want a heap-safe []float32 instead of a view use
-// GetFunc, which runs the caller's closure under the shard lock; the closure
-// copies/decodes and the result needs no lease.
 package vcache
 
 import (
@@ -136,7 +132,7 @@ type Options struct {
 	Segments int
 	// Hash routes an id to its shard (low bits) and to its home index
 	// position within the shard (high 32 bits). nil selects a splitmix
-	// finalizer. For engine equivalence, pass the same hash the lru engine
+	// finalizer. For equivalence with lru.Sharded, pass the same hash it
 	// shards with.
 	Hash func(uint32) uint64
 }
@@ -301,7 +297,7 @@ func (c *Cache) shardOf(h uint64) *shard {
 	return &c.shards[h&c.shardMask]
 }
 
-// Lease marks the start of a request that will hold arena views (Get/GetRaw
+// Lease marks the start of a request that will hold arena views (Get
 // results). The returned release function must be called when the request is
 // done with every view it obtained; it is safe to call from another
 // goroutine. Lease/release are two atomic adds — no allocation, no lock.
@@ -716,55 +712,6 @@ func (c *Cache) Get(id uint32) (payload []byte, wasPrefetched, ok bool) {
 	payload = s.payload(c, slot)
 	s.mu.Unlock()
 	return payload, wasPrefetched, true
-}
-
-// GetFunc is Get with the payload handed to fn under the shard lock instead
-// of returned: fn must copy or decode what it needs and not retain the view.
-// The result needs no lease. Promotes and clears the prefetched flag exactly
-// like Get.
-func (c *Cache) GetFunc(id uint32, fn func(payload []byte, wasPrefetched bool)) bool {
-	h := c.hash(id)
-	s := c.shardOf(h)
-	s.mu.Lock()
-	slot := s.idxFind(id, h)
-	if slot == nilIdx {
-		s.mu.Unlock()
-		return false
-	}
-	m := &s.meta[slot]
-	wasPrefetched := m.segflags&prefetchedBit != 0
-	m.segflags &^= prefetchedBit
-	s.listRemove(slot)
-	s.pushFront(0, slot)
-	s.rebalance()
-	fn(s.payload(c, slot), wasPrefetched)
-	s.mu.Unlock()
-	return true
-}
-
-// GetRequestedFunc promotes id if present (like Get) but hands its payload
-// to fn only when the entry was NOT prefetch-inserted, without clearing the
-// flag — the coalesced-miss reuse probe of the serving path. Reports whether
-// fn ran.
-func (c *Cache) GetRequestedFunc(id uint32, fn func(payload []byte)) bool {
-	h := c.hash(id)
-	s := c.shardOf(h)
-	s.mu.Lock()
-	slot := s.idxFind(id, h)
-	if slot == nilIdx {
-		s.mu.Unlock()
-		return false
-	}
-	s.listRemove(slot)
-	s.pushFront(0, slot)
-	s.rebalance()
-	served := false
-	if s.meta[slot].segflags&prefetchedBit == 0 {
-		fn(s.payload(c, slot))
-		served = true
-	}
-	s.mu.Unlock()
-	return served
 }
 
 // Contains reports whether id is cached, without affecting recency.

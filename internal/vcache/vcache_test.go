@@ -81,25 +81,12 @@ func TestPrefetchedFlag(t *testing.T) {
 	c := newTestCache(64, 1)
 	c.Add(1, payloadFor(1, 0), true)
 
-	// GetRequestedFunc must promote but not serve a prefetched entry, and
-	// must not clear the flag.
-	served := c.GetRequestedFunc(1, func([]byte) { t.Fatal("served a prefetched entry") })
-	if served {
-		t.Fatal("GetRequestedFunc reported served")
-	}
-
 	// Get clears the flag and reports it was set.
 	if _, pre, ok := c.Get(1); !ok || !pre {
 		t.Fatalf("Get = (_, %v, %v), want prefetched hit", pre, ok)
 	}
 	if _, pre, _ := c.Get(1); pre {
 		t.Fatal("prefetched flag not cleared")
-	}
-
-	// Now GetRequestedFunc serves it.
-	ran := false
-	if !c.GetRequestedFunc(1, func([]byte) { ran = true }) || !ran {
-		t.Fatal("GetRequestedFunc did not serve a requested entry")
 	}
 
 	// Re-adding with prefetched=false on an existing prefetched entry
@@ -421,8 +408,11 @@ func TestEquivalenceRandomized(t *testing.T) {
 					vc.Add(id, payloadFor(id, gens[id]), false)
 					ref.s.Add(id, gens[id])
 				case op < 9: // Get
+					p, _, vOK := vc.Get(id)
 					var vGen byte
-					vOK := vc.GetFunc(id, func(p []byte, _ bool) { vGen = p[4] })
+					if vOK {
+						vGen = p[4]
+					}
 					rGen, rOK := ref.s.Get(id)
 					if vOK != rOK {
 						t.Fatalf("step %d: Get(%d) hit mismatch: vcache %v, lru %v", step, id, vOK, rOK)
